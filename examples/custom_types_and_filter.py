@@ -14,7 +14,7 @@ and more RDD operators.  This example exercises both extensions:
 Run:  python examples/custom_types_and_filter.py
 """
 
-from repro import generate_hls_c
+from repro import S2FASession
 from repro.blaze import BlazeRuntime
 from repro.compiler import compile_kernel
 from repro.merlin import DesignConfig, LoopConfig
@@ -39,7 +39,7 @@ def main() -> None:
     print("=" * 72)
     print("Generated HLS C: the Reading record flattened to three ports")
     print("=" * 72)
-    print(generate_hls_c(KERNEL, pattern="filter"))
+    print(S2FASession().hls_c(KERNEL, pattern="filter"))
 
     compiled = compile_kernel(KERNEL, pattern="filter", batch_size=1024)
     config = DesignConfig(

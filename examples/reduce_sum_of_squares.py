@@ -54,10 +54,10 @@ def main() -> None:
     print(f"offloaded tasks: {blaze.metrics.accel_tasks}, modelled time "
           f"{blaze.metrics.accel_seconds * 1e3:.3f} ms")
 
-    from repro import generate_hls_c
+    from repro import S2FASession
     print()
     print("Generated reduce kernel:")
-    print(generate_hls_c(ADD, pattern="reduce"))
+    print(S2FASession().hls_c(ADD, pattern="reduce"))
 
 
 if __name__ == "__main__":

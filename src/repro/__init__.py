@@ -21,8 +21,6 @@ The public entry point is :class:`repro.S2FASession`: one object owning
 the run configuration (:class:`ExploreConfig` / :class:`RuntimeConfig`),
 the tracer, and a compile cache, with ``compile``/``explore``/``run``
 verbs over built-in application names, specs, or raw Scala source.
-:func:`build_accelerator` and :func:`generate_hls_c` are deprecated
-one-shot shims kept for compatibility.
 """
 
 __version__ = "1.1.0"
@@ -35,8 +33,6 @@ from .s2fa import (
     DeviceSweep,
     RunOutcome,
     S2FASession,
-    build_accelerator,
-    generate_hls_c,
 )
 
 __all__ = [
@@ -52,8 +48,6 @@ __all__ = [
     "S2FASession",
     "StreamConfig",
     "UnknownDeviceError",
-    "build_accelerator",
-    "generate_hls_c",
     "device_names",
     "get_device",
     "__version__",

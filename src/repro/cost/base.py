@@ -79,8 +79,7 @@ class CostModel:
     * **infeasible is a result, not an error** — a design that blows the
       device envelope returns ``QoR(feasible=False, value=inf)``;
       exceptions are reserved for broken inputs and are converted to
-      infeasible QoRs by the :meth:`safe_score` firewall exactly like
-      the old ``safe_estimate`` free function did.
+      infeasible QoRs by the :meth:`safe_score` firewall.
     """
 
     #: short human name ("analytical", "surrogate:ridge", ...).

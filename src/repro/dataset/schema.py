@@ -12,11 +12,11 @@ whose schema version it does not know) unless asked to be strict.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+from ..durable import AppendLog
 from ..errors import DatasetError
 
 #: Bump when a record field changes meaning.  Readers skip (or, in
@@ -109,27 +109,30 @@ class DatasetRecord:
 class DatasetWriter:
     """Append-only JSONL writer with per-record durability.
 
-    Each record is written as one line and flushed immediately, so a
-    killed build loses at most the line being written — which the
-    tolerant reader then skips on resume.
+    Each record is one synced :class:`~repro.durable.AppendLog` line, so
+    a killed build loses at most the line being written.  Append mode
+    recovers that torn tail before writing, so the first new record
+    never glues onto it.
     """
 
     def __init__(self, path, *, append: bool = False):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = open(self.path, "a" if append else "w",
-                        encoding="utf-8")
+        if append:
+            AppendLog.recover(self.path)
+        else:
+            self.path.unlink(missing_ok=True)       # a fresh build
+        self._log = AppendLog(self.path)
         self.written = 0
 
     def write(self, record: DatasetRecord) -> None:
-        self._fh.write(json.dumps(record.to_json(),
-                                  sort_keys=True) + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
+        self._log.append(
+            (json.dumps(record.to_json(), sort_keys=True) + "\n").encode())
+        self._log.sync()
         self.written += 1
 
     def close(self) -> None:
-        self._fh.close()
+        self._log.close()
 
     def __enter__(self) -> "DatasetWriter":
         return self

@@ -36,4 +36,4 @@ from .stopping import (  # noqa: F401
     NeverStop,
     NoImprovementStopping,
 )
-from .vclock import VirtualClock, WorkerPool  # noqa: F401
+from .vclock import WorkerPool  # noqa: F401

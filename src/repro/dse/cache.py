@@ -13,16 +13,14 @@ Design constraints (and how they are met):
   (or with ``True`` where another tuner used ``1``).  :func:`canonical_key`
   sorts the parameters and serializes values through JSON, which keeps
   ``True``/``1``/``1.0`` distinct (they serialize to ``true``/``1``/``1.0``).
-* **Atomic, durable append** — each record is one ``os.write`` to an
-  ``O_APPEND`` file descriptor (taken under a shared ``flock``), followed
-  by an ``fsync``: concurrent appenders lose no records, and an
-  acknowledged record survives a crash.
+* **Atomic, durable append** — each record is one synced
+  :class:`~repro.durable.AppendLog` append: concurrent appenders lose no
+  records, and an acknowledged record survives a crash.
 * **Torn-write repair** — a crash mid-append leaves a final line without
-  its newline terminator.  On load the store takes an exclusive ``flock``
-  (so it cannot race an in-flight append), truncates an unparsable torn
-  tail, and newline-terminates a parsable one; either way every complete
-  record before the tear still loads.  Garbage lines elsewhere are
-  skipped and counted in ``corrupt_lines``.
+  its newline terminator.  On load the store runs
+  :meth:`~repro.durable.AppendLog.recover`; every complete record before
+  the tear still loads.  Garbage lines elsewhere are skipped and counted
+  in ``corrupt_lines`` (as is a truncated tear).
 * **Versioned records** — every record carries the store format version
   (``"v"``).  Records from another version are *skipped with a warning*
   (counted in ``stale_records``) instead of mis-parsed; bumping
@@ -43,15 +41,11 @@ import os
 from pathlib import Path
 from typing import Optional
 
+from ..durable import AppendLog
 from ..hls.device import Device
 from ..hls.result import HLSResult
 from ..hlsc.ast import CKernel
 from ..hlsc.printer import kernel_to_c
-
-try:
-    import fcntl
-except ImportError:             # pragma: no cover - non-POSIX platform
-    fcntl = None
 
 LOGGER = logging.getLogger("repro.dse.cache")
 
@@ -104,11 +98,6 @@ def kernel_digest(kernel: CKernel, device: Device,
     return hasher.hexdigest()[:24]
 
 
-def _flock(fd: int, mode: int) -> None:
-    if fcntl is not None:
-        fcntl.flock(fd, mode)
-
-
 class CacheStore:
     """JSON-lines persistent store of HLS evaluations.
 
@@ -140,54 +129,17 @@ class CacheStore:
             self._tables[digest] = table
         return table
 
-    def _repair_torn_tail(self, path: Path) -> None:
-        """Fix a crash-torn final line in place, under an exclusive lock.
-
-        A record is written as one ``content + newline`` write, so a file
-        not ending in a newline was torn mid-append.  An unparsable tail
-        is truncated away (the record never fully landed); a parsable one
-        merely lost its terminator and gets it back.  The exclusive lock
-        waits out any append in flight, so a concurrent writer's record
-        is never mistaken for a tear.
-        """
-        try:
-            fd = os.open(path, os.O_RDWR)
-        except OSError:
-            return
-        try:
-            _flock(fd, fcntl.LOCK_EX if fcntl is not None else 0)
-            chunks = []
-            while True:
-                chunk = os.read(fd, 1 << 20)
-                if not chunk:
-                    break
-                chunks.append(chunk)
-            raw = b"".join(chunks)
-            if not raw or raw.endswith(b"\n"):
-                return
-            cut = raw.rfind(b"\n") + 1
-            tail = raw[cut:]
-            try:
-                json.loads(tail)
-            except (ValueError, UnicodeDecodeError):
-                self.corrupt_lines += 1
-                LOGGER.warning(
-                    "cache %s: truncating torn final record (%d bytes)",
-                    path.name, len(tail))
-                os.ftruncate(fd, cut)
-            else:
-                os.write(fd, b"\n")
-        finally:
-            if fcntl is not None:
-                _flock(fd, fcntl.LOCK_UN)
-            os.close(fd)
-
     def _load(self, digest: str) -> dict[str, dict]:
         table: dict[str, dict] = {}
         path = self._path(digest)
         if not path.exists():
             return table
-        self._repair_torn_tail(path)
+        dropped = AppendLog.recover(path)
+        if dropped:
+            self.corrupt_lines += 1
+            LOGGER.warning(
+                "cache %s: truncating torn final record (%d bytes)",
+                path.name, dropped)
         try:
             raw = path.read_bytes()
         except OSError:
@@ -254,16 +206,9 @@ class CacheStore:
         record = {"v": FORMAT_VERSION, "key": key, "minutes": minutes,
                   "result": result.to_dict()}
         data = (json.dumps(record, separators=(",", ":")) + "\n").encode()
-        fd = os.open(self._path(digest),
-                     os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
-        try:
-            _flock(fd, fcntl.LOCK_SH if fcntl is not None else 0)
-            os.write(fd, data)
-            os.fsync(fd)
-        finally:
-            if fcntl is not None:
-                _flock(fd, fcntl.LOCK_UN)
-            os.close(fd)
+        with AppendLog(self._path(digest)) as log:
+            log.append(data)
+            log.sync()
         table[key] = record
         self.appends += 1
 

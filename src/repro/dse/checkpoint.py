@@ -9,10 +9,9 @@ atomic, versioned, schema-validated JSON file per kernel digest.
 
 Guarantees:
 
-* **Atomicity** — a checkpoint is written to a temp file, fsynced,
-  ``os.replace``d over the previous one, and the directory entry is
-  fsynced; a crash at any instant leaves either the old or the new
-  checkpoint intact, never a torn file.
+* **Atomicity** — a checkpoint is saved through
+  :class:`~repro.durable.SnapshotStore`; a crash at any instant leaves
+  either the old or the new checkpoint intact, never a torn file.
 * **Batch-boundary semantics** — the engine snapshots only between
   batches, when the event heap is empty and no partition has an
   in-flight evaluation, so the saved state is exactly "the run up to
@@ -34,11 +33,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import random
-from pathlib import Path
 from typing import Optional
 
+from ..durable import SnapshotStore
 from ..errors import DSEError
 from ..hls.result import HLSResult
 from .bandit import AUCBandit, BanditTuner, _WindowEntry
@@ -411,28 +409,10 @@ def restore_evaluator_counters(evaluator: Evaluator, data: dict) -> None:
 
 
 # ----------------------------------------------------------------------
-# Atomic on-disk store
+# On-disk store
 # ----------------------------------------------------------------------
 
-def atomic_write_json(path: Path, payload: dict) -> None:
-    """Write ``payload`` so a crash leaves either the old or new file."""
-    data = json.dumps(payload, separators=(",", ":")).encode()
-    tmp = path.with_name(path.name + ".tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
-    try:
-        os.write(fd, data)
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-    os.replace(tmp, path)
-    dir_fd = os.open(path.parent, os.O_RDONLY)
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
-
-
-class CheckpointStore:
+class CheckpointStore(SnapshotStore):
     """One checkpoint file per kernel digest in a directory.
 
     ``save`` is atomic and overwrites the previous checkpoint for the
@@ -442,45 +422,18 @@ class CheckpointStore:
     a run completes, so a later ``--resume`` starts fresh.
     """
 
-    def __init__(self, directory: os.PathLike | str):
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.saves = 0
-        self.loads = 0
-
-    def path(self, digest: str) -> Path:
-        return self.directory / f"{digest}.ckpt.json"
-
-    def has(self, digest: str) -> bool:
-        return self.path(digest).exists()
-
-    def save(self, digest: str, payload: dict) -> Path:
-        target = self.path(digest)
-        atomic_write_json(target, payload)
-        self.saves += 1
-        return target
+    suffix = ".ckpt.json"
+    error = DSEError
+    label = "checkpoint"
 
     def load(self, digest: str) -> Optional[dict]:
         """The validated checkpoint payload, or ``None`` if absent."""
-        target = self.path(digest)
-        if not target.exists():
+        payload = super().load(digest)
+        if payload is None:
             return None
-        try:
-            payload = json.loads(target.read_text())
-        except (OSError, ValueError) as exc:
-            raise DSEError(
-                f"checkpoint {target} is corrupt and cannot be resumed "
-                f"({exc}); delete it to start over") from exc
         problems = validate_checkpoint(payload)
         if problems:
             raise DSEError(
-                f"checkpoint {target} failed validation: "
+                f"checkpoint {self.path(digest)} failed validation: "
                 + "; ".join(problems))
-        self.loads += 1
         return payload
-
-    def discard(self, digest: str) -> None:
-        try:
-            os.unlink(self.path(digest))
-        except FileNotFoundError:
-            pass

@@ -36,13 +36,12 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
 import random
-import signal
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from ..durable import CHAOS_KILL_ENV, ChaosKill  # noqa: F401 (re-export)
 from ..errors import DSEError, ExplorationInterrupted
 from ..obs.span import NULL_TRACER
 from .bandit import BanditTuner
@@ -95,24 +94,6 @@ REVALIDATE_MARGIN = 2.0
 #: exhaustively-checkable micro space the pruned run therefore returns
 #: the identical optimum, by construction rather than by luck.
 REVALIDATE_CAP = 32
-
-#: Fault-injection hook for the chaos harness: ``boundary:N`` hard-kills
-#: the process right after checkpoint N is flushed, ``mid:N`` hard-kills
-#: after batch N is evaluated but *before* its merge/checkpoint, and
-#: ``stop:N`` requests a graceful stop after batch N (exercising the
-#: SIGINT/SIGTERM path deterministically).
-CHAOS_KILL_ENV = "S2FA_CHAOS_KILL"
-
-
-def _parse_chaos(spec: Optional[str]) -> Optional[tuple[str, int]]:
-    if not spec:
-        return None
-    kind, _, value = spec.partition(":")
-    if kind not in ("boundary", "mid", "stop") or not value.isdigit():
-        raise DSEError(
-            f"bad {CHAOS_KILL_ENV} spec {spec!r}; expected "
-            f"'boundary:N', 'mid:N', or 'stop:N'")
-    return kind, int(value)
 
 
 @dataclass
@@ -183,7 +164,7 @@ class S2FAEngine:
         self.prune_fraction = prune_fraction
         self.tracer = tracer
         self._stop_requested = False
-        self._chaos = _parse_chaos(os.environ.get(CHAOS_KILL_ENV))
+        self._chaos = ChaosKill(self.request_stop)
 
     # ------------------------------------------------------------------
 
@@ -448,14 +429,6 @@ class S2FAEngine:
         self.tracer.metrics.incr("dse.checkpoint.writes")
         return path
 
-    def _chaos_fire(self, kind: str, round_index: int) -> None:
-        if self._chaos != (kind, round_index):
-            return
-        if kind == "stop":
-            self.request_stop()
-            return
-        os.kill(os.getpid(), signal.SIGKILL)
-
     def _evaluate_proposals(self, points: list[dict]) -> list[Evaluation]:
         """Evaluate one round's batch, surrogate-pruning the worst misses.
 
@@ -537,8 +510,8 @@ class S2FAEngine:
                         {name for _, name, _ in proposals})))
                 self.tracer.metrics.incr("dse.batches")
             rs.rounds += 1
-            self._chaos_fire("mid", rs.rounds)
-            self._chaos_fire("stop", rs.rounds)
+            self._chaos.fire("mid", rs.rounds)
+            self._chaos.fire("stop", rs.rounds)
             for (state, name, _), evaluation in zip(proposals,
                                                     evaluations):
                 duration = CACHED_EVALUATION_MINUTES \
@@ -580,7 +553,7 @@ class S2FAEngine:
             # flight — journal the complete state, then honor any stop
             # request now that the checkpoint covers this round.
             checkpoint_path = self._write_checkpoint(rs)
-            self._chaos_fire("boundary", rs.rounds)
+            self._chaos.fire("boundary", rs.rounds)
             if self._stop_requested and rs.running:
                 where = (f"; checkpoint at {checkpoint_path} "
                          f"(resume with --resume)"

@@ -24,7 +24,6 @@ process pool that computes layer 3 out-of-process in batches.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -54,24 +53,6 @@ def error_result(reason: str, device: Device = VU9P) -> HLSResult:
         utilization={"lut": 0.0, "ff": 0.0, "dsp": 0.0, "bram": 0.0},
         ii_top=None, synthesis_minutes=FAILURE_MINUTES,
         infeasible_reason=reason)
-
-
-def safe_estimate(kernel, point: dict, device: Device,
-                  tracer=NULL_TRACER) -> HLSResult:
-    """Deprecated shim over the pluggable cost-model API.
-
-    .. deprecated::
-        Use ``AnalyticalCostModel().safe_score(kernel, point, device)``
-        (or any other :class:`~repro.cost.CostModel`); the QoR's
-        ``to_result()`` recovers the :class:`HLSResult`.
-    """
-    warnings.warn(
-        "safe_estimate() is deprecated; use "
-        "repro.cost.AnalyticalCostModel().safe_score(...) instead",
-        DeprecationWarning, stacklevel=2)
-    qor = AnalyticalCostModel().safe_score(kernel, point, device,
-                                           tracer=tracer)
-    return qor.to_result(device)
 
 
 @dataclass

@@ -16,19 +16,6 @@ from typing import Optional
 from ..errors import DSEError
 
 
-@dataclass
-class VirtualClock:
-    """Monotonic simulated wall clock in minutes."""
-
-    now: float = 0.0
-
-    def advance(self, minutes: float) -> float:
-        if minutes < 0:
-            raise DSEError(f"cannot advance the clock by {minutes}")
-        self.now += minutes
-        return self.now
-
-
 @dataclass(order=True)
 class _Event:
     time: float

@@ -15,10 +15,6 @@ an :class:`~repro.apps.base.AppSpec`, or raw Scala source.  With
 ``trace=True`` every stage records into a hierarchical span tracer that
 :meth:`~S2FASession.export_trace` writes as Chrome ``trace_event`` JSON
 or a JSONL span log.
-
-:func:`build_accelerator` and :func:`generate_hls_c` are the original
-one-shot entry points; they are now thin deprecated shims over a
-throwaway session and behave exactly as before.
 """
 
 from __future__ import annotations
@@ -26,7 +22,6 @@ from __future__ import annotations
 import contextlib
 import signal as _signal
 import threading
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -47,7 +42,7 @@ from .errors import (
     ExplorationInterrupted,
     S2FAError,
 )
-from .hls.device import Device, REGISTRY, VU9P, get_device
+from .hls.device import Device, REGISTRY, get_device
 from .hls.estimator import estimate
 from .hls.result import HLSResult
 from .hlsc.printer import kernel_to_c
@@ -592,54 +587,3 @@ class S2FASession:
     def trace_summary(self, *, top: int = 10, flame: bool = True) -> str:
         """Plain-text per-stage breakdown of the session trace."""
         return summarize(self.tracer, top=top, flame=flame)
-
-
-# ----------------------------------------------------------------------
-# Deprecated one-shot entry points (kept as exact-behavior shims)
-# ----------------------------------------------------------------------
-
-def build_accelerator(source: str, *,
-                      kernel_class: Optional[str] = None,
-                      layout_config: Optional[LayoutConfig] = None,
-                      pattern: str = "map",
-                      batch_size: int = 1024,
-                      device: Device = VU9P,
-                      seed: int = 0,
-                      time_limit_minutes: float = 240.0,
-                      workers: int = 8,
-                      jobs: int = 1,
-                      cache_dir: Optional[str] = None) -> AcceleratorBuild:
-    """Deprecated: use :meth:`S2FASession.explore` instead.
-
-    Runs the full S2FA flow (compile, explore, pick the best design)
-    exactly as before, through a throwaway session.
-    """
-    warnings.warn(
-        "build_accelerator() is deprecated; use "
-        "S2FASession(explore=ExploreConfig(...)).explore(source)",
-        DeprecationWarning, stacklevel=2)
-    session = S2FASession(
-        explore=ExploreConfig(seed=seed,
-                              time_limit_minutes=time_limit_minutes,
-                              workers=workers, jobs=jobs,
-                              cache_dir=cache_dir),
-        device=device)
-    return session.explore(source, kernel_class=kernel_class,
-                           layout_config=layout_config, pattern=pattern,
-                           batch_size=batch_size)
-
-
-def generate_hls_c(source: str, *,
-                   config: Optional[DesignConfig] = None,
-                   kernel_class: Optional[str] = None,
-                   layout_config: Optional[LayoutConfig] = None,
-                   pattern: str = "map",
-                   batch_size: int = 1024) -> str:
-    """Deprecated: use :meth:`S2FASession.hls_c` instead."""
-    warnings.warn(
-        "generate_hls_c() is deprecated; use S2FASession().hls_c(source)",
-        DeprecationWarning, stacklevel=2)
-    return S2FASession().hls_c(
-        source, config=config, kernel_class=kernel_class,
-        layout_config=layout_config, pattern=pattern,
-        batch_size=batch_size)

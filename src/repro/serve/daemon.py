@@ -34,6 +34,7 @@ import threading
 from typing import Optional
 
 from ..config import ServeConfig
+from ..durable import atomic_write
 from ..errors import ServeError
 from .core import ServeCore
 from .request import (
@@ -132,10 +133,8 @@ class ServeDaemon:
             return
         snapshot = self.core.state_snapshot()
         snapshot["drained"] = True
-        tmp = f"{self.state_path}.tmp"
-        with open(tmp, "w") as fh:
-            json.dump(snapshot, fh, indent=2, sort_keys=True)
-        os.replace(tmp, self.state_path)
+        atomic_write(self.state_path, json.dumps(
+            snapshot, indent=2, sort_keys=True).encode())
 
     # ------------------------------------------------------------------
     # Executor (the single dispatch thread)

@@ -34,12 +34,10 @@ Backpressure
 
 from __future__ import annotations
 
-import os
-import signal
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..dse.engine import CHAOS_KILL_ENV, _parse_chaos
+from ..durable import ChaosKill
 from ..errors import StreamError, StreamInterrupted
 from ..obs import NULL_TRACER
 from . import codec
@@ -115,7 +113,7 @@ class StreamContext:
                                   "default_parallelism", 4)
         self._nodes: list[DStream] = []
         self._stop = False
-        self._chaos = _parse_chaos(os.environ.get(CHAOS_KILL_ENV))
+        self._chaos = ChaosKill(self.request_stop)
 
     # -- graph construction ----------------------------------------------
 
@@ -152,14 +150,6 @@ class StreamContext:
     def request_stop(self) -> None:
         """Finish the current micro-batch, checkpoint, then stop."""
         self._stop = True
-
-    def _chaos_fire(self, kind: str, batch_id: int) -> None:
-        if self._chaos != (kind, batch_id):
-            return
-        if kind == "stop":
-            self.request_stop()
-            return
-        os.kill(os.getpid(), signal.SIGKILL)
 
     # -- checkpointing ---------------------------------------------------
 
@@ -251,7 +241,7 @@ class StreamContext:
                             outcome.duplicates_skipped += 1
                         seq += 1
                     sink.flush_batch()
-                self._chaos_fire("mid", n)
+                self._chaos.fire("mid", n)
 
                 if store is not None:
                     checkpoint_path = store.save(name, {
@@ -261,8 +251,8 @@ class StreamContext:
                         "operators": self._snapshot_operators(),
                     })
                     metrics.incr("stream.checkpoint.writes")
-                self._chaos_fire("boundary", n)
-                self._chaos_fire("stop", n)
+                self._chaos.fire("boundary", n)
+                self._chaos.fire("stop", n)
 
                 # -- accounting & backpressure -------------------------
                 latency = clock.now - before

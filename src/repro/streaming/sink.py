@@ -8,12 +8,14 @@ on resume that batch is recomputed (deterministically — see
 replay by refusing to write a ``(batch_id, partition)`` key twice: the
 file bytes after recovery equal the bytes of an uninterrupted run.
 
-:class:`JSONLSink` appends one canonical-JSON line per key and fsyncs at
-batch boundaries.  Opening an existing file repairs a *torn tail* (an
-unterminated final line from a crash mid-``write``) by truncating to the
-last newline — only unacknowledged bytes are dropped, because the
-checkpoint that would acknowledge them was never written.  A complete
-line that fails to parse is corruption of acknowledged data and raises
+:class:`JSONLSink` appends one canonical-JSON line per key to a
+:class:`~repro.durable.AppendLog` and syncs it at batch boundaries.
+Opening an existing file recovers a *torn tail* (an unterminated final
+line from a crash mid-``write``): an unparsable one is dropped — only
+unacknowledged bytes, because the checkpoint that would acknowledge them
+was never written — and a whole row that merely lost its newline is
+kept, its replay skipped like any other.  A complete line that fails to
+parse is corruption of acknowledged data and raises
 :class:`~repro.errors.StreamError` instead of being silently skipped.
 """
 
@@ -23,6 +25,7 @@ import json
 import os
 from pathlib import Path
 
+from ..durable import AppendLog
 from ..errors import StreamError
 from .codec import canonical_json, encode
 
@@ -63,21 +66,15 @@ class JSONLSink:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._keys: set[tuple[int, int]] = set()
         self.duplicates_skipped = 0
-        self._repair_and_index()
-        self._fh = open(self.path, "ab")
+        AppendLog.recover(self.path)
+        self._index()
+        self._log = AppendLog(self.path)
 
-    def _repair_and_index(self) -> None:
+    def _index(self) -> None:
         if not self.path.exists():
             return
-        data = self.path.read_bytes()
-        if data and not data.endswith(b"\n"):
-            # Torn tail: the final line never finished writing and was
-            # never acknowledged by a checkpoint — drop it.
-            cut = data.rfind(b"\n") + 1
-            with open(self.path, "r+b") as fh:
-                fh.truncate(cut)
-            data = data[:cut]
-        for lineno, line in enumerate(data.splitlines(), start=1):
+        for lineno, line in enumerate(
+                self.path.read_bytes().splitlines(), start=1):
             try:
                 row = json.loads(line)
                 key = (int(row["batch"]), int(row["part"]))
@@ -99,17 +96,16 @@ class JSONLSink:
             return False
         line = canonical_json({"batch": batch_id, "part": partition,
                                "seq": seq, "records": encode(records)})
-        self._fh.write(line.encode() + b"\n")
+        self._log.append(line.encode() + b"\n")
         self._keys.add((batch_id, partition))
         return True
 
     def flush_batch(self) -> None:
         """Make every emitted row of the batch durable."""
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
+        self._log.sync()
 
     def close(self) -> None:
-        self._fh.close()
+        self._log.close()
 
     def keys(self) -> set[tuple[int, int]]:
         return set(self._keys)

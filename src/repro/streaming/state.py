@@ -1,8 +1,7 @@
 """Atomic, versioned streaming checkpoints.
 
-One checkpoint file per stream name, written with the same
-write-fsync-replace-fsync discipline as the DSE journal
-(:func:`repro.dse.checkpoint.atomic_write_json`): a crash at any
+One checkpoint file per stream name, saved through the same
+:class:`~repro.durable.SnapshotStore` as the DSE journal: a crash at any
 instant leaves either the previous or the new checkpoint, never a torn
 file.  The payload pins the run identity (app, seeds, batch geometry,
 fault schedule, engine) so a resume against a *different* configuration
@@ -16,12 +15,10 @@ replays exactly one batch, whose rows the idempotent sink skips.
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
 from typing import Optional
 
-from ..dse.checkpoint import atomic_write_json
+from ..durable import SnapshotStore
 from ..errors import StreamError
 
 #: Checkpoint format version; bumping it invalidates old checkpoints.
@@ -31,40 +28,23 @@ STREAM_CHECKPOINT_VERSION = 1
 STREAM_CHECKPOINT_KIND = "s2fa-stream-checkpoint"
 
 
-class StreamCheckpointStore:
+class StreamCheckpointStore(SnapshotStore):
     """One atomic checkpoint file per stream name in a directory."""
 
-    def __init__(self, directory: os.PathLike | str):
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-
-    def path(self, name: str) -> Path:
-        slug = "".join(ch if ch.isalnum() or ch in "-_" else "_"
-                       for ch in name)
-        return self.directory / f"{slug}.stream.ckpt.json"
-
-    def has(self, name: str) -> bool:
-        return self.path(name).exists()
+    suffix = ".stream.ckpt.json"
+    error = StreamError
+    label = "stream checkpoint"
 
     def save(self, name: str, payload: dict) -> Path:
         """Atomically persist ``payload`` (stamped with kind/version)."""
-        stamped = {"kind": STREAM_CHECKPOINT_KIND,
-                   "version": STREAM_CHECKPOINT_VERSION, **payload}
-        path = self.path(name)
-        atomic_write_json(path, stamped)
-        return path
+        return super().save(name, {
+            "kind": STREAM_CHECKPOINT_KIND,
+            "version": STREAM_CHECKPOINT_VERSION, **payload})
 
     def load(self, name: str, identity: Optional[dict] = None) -> dict:
         """Validated checkpoint payload; pins ``identity`` when given."""
         path = self.path(name)
-        try:
-            payload = json.loads(path.read_text())
-        except OSError as exc:
-            raise StreamError(
-                f"cannot read stream checkpoint {path}: {exc}") from exc
-        except ValueError as exc:
-            raise StreamError(
-                f"corrupt stream checkpoint {path}: {exc}") from exc
+        payload = super().load(name)
         if not isinstance(payload, dict) \
                 or payload.get("kind") != STREAM_CHECKPOINT_KIND:
             raise StreamError(
@@ -87,9 +67,3 @@ class StreamCheckpointStore:
                 f"run configuration (mismatched: {', '.join(diff)}); "
                 f"refusing to resume into a diverging stream")
         return payload
-
-    def discard(self, name: str) -> None:
-        try:
-            self.path(name).unlink()
-        except FileNotFoundError:
-            pass

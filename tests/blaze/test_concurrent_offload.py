@@ -16,6 +16,7 @@ from repro.blaze import BlazeRuntime, OffloadPolicy
 from repro.blaze.manager import ACTIVE, LOST
 from repro.blaze.runtime import VirtualClock
 from repro.compiler import compile_kernel
+from repro.errors import BlazeError
 from repro.spark import SparkContext
 
 from .test_resilience import (
@@ -80,6 +81,12 @@ class TestVirtualClock:
         # Each locked read-modify-write yields a distinct total.
         assert len(set(readings)) == len(readings) == 400
         assert max(readings) == clock.now == 400.0
+
+    def test_negative_rejected(self):
+        clock = VirtualClock()
+        with pytest.raises(BlazeError):
+            clock.advance(-1.0)
+        assert clock.now == 0.0
 
 
 class TestConcurrentOffload:

@@ -1,8 +1,7 @@
-"""The CostModel protocol: analytical parity, surrogate artifacts,
-the exception firewall, and the deprecated free-function shim."""
+"""The CostModel protocol: analytical parity, surrogate artifacts and
+the exception firewall."""
 
 import json
-import math
 
 import pytest
 
@@ -15,7 +14,6 @@ from repro.cost import (
 )
 from repro.cost.features import FEATURE_NAMES
 from repro.cost.surrogate import ARTIFACT_FORMAT, ARTIFACT_VERSION
-from repro.dse.evaluator import safe_estimate
 from repro.dse.space import build_space
 from repro.errors import CostModelError
 from repro.hls.device import VU9P
@@ -120,14 +118,3 @@ class TestSurrogate:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(CostModelError):
             SurrogateCostModel.load(tmp_path / "nope.json")
-
-
-class TestDeprecatedShim:
-    def test_safe_estimate_warns_but_works(self, kmeans, default_point):
-        with pytest.warns(DeprecationWarning, match="safe_estimate"):
-            result = safe_estimate(kmeans.kernel, default_point, VU9P)
-        direct = estimate(kmeans.kernel,
-                          DesignConfig.from_point(default_point))
-        assert result.cycles == direct.cycles
-        assert math.isclose(result.normalized_cycles,
-                            direct.normalized_cycles)

@@ -80,18 +80,26 @@ class TestBuild:
         assert len(records) == first.records
 
     def test_resume_completes_a_torn_build(self, tmp_path):
-        cfg = _cfg(tmp_path)
-        build_dataset(cfg)
-        full, _ = read_records(cfg.out)
-        # Chop the file mid-way (plus a torn tail) and resume.
-        lines = (tmp_path / "ds.jsonl").read_text().splitlines()
-        keep = len(lines) // 2
-        (tmp_path / "ds.jsonl").write_text(
-            "\n".join(lines[:keep]) + "\n" + lines[keep][: 10] + "\n")
-        report = build_dataset(cfg.replace(resume=True))
-        assert report.skipped_existing == keep
-        records, _ = read_records(cfg.out)
-        assert {r.key() for r in records} == {r.key() for r in full}
+        # Two inputs in one test (its id is pinned): a terminated corrupt
+        # line, and the unterminated tail a real mid-write kill leaves —
+        # the first new record must not glue onto it.
+        for case, terminator in (("corrupt-line", "\n"),
+                                 ("unterminated-tail", "")):
+            cfg = _cfg(tmp_path / case)
+            build_dataset(cfg)
+            full, _ = read_records(cfg.out)
+            # Chop the file mid-way (plus a torn tail) and resume.
+            out = tmp_path / case / "ds.jsonl"
+            lines = out.read_text().splitlines()
+            keep = len(lines) // 2
+            out.write_text("\n".join(lines[:keep]) + "\n"
+                           + lines[keep][: 10] + terminator)
+            report = build_dataset(cfg.replace(resume=True))
+            assert report.skipped_existing == keep, case
+            records, _ = read_records(cfg.out)
+            assert {r.key() for r in records} \
+                == {r.key() for r in full}, case
+            assert report.records == len(records) - keep, case
 
 
 class TestRankMetrics:

@@ -1,20 +1,9 @@
-"""Virtual clock / worker pool tests."""
+"""Worker pool tests."""
 
 import pytest
 
-from repro.dse import VirtualClock, WorkerPool
+from repro.dse import WorkerPool
 from repro.errors import DSEError
-
-
-class TestVirtualClock:
-    def test_advance(self):
-        clock = VirtualClock()
-        assert clock.advance(5.0) == 5.0
-        assert clock.advance(2.5) == 7.5
-
-    def test_negative_rejected(self):
-        with pytest.raises(DSEError):
-            VirtualClock().advance(-1.0)
 
 
 class TestWorkerPool:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro import build_accelerator, generate_hls_c
+from repro import ExploreConfig, S2FASession
 from repro.blaze import BlazeRuntime
 from repro.compiler import LayoutConfig
 from repro.merlin import DesignConfig, LoopConfig
@@ -29,8 +29,8 @@ LAYOUT = LayoutConfig(lengths={"in": 8, "out": 8})
 
 @pytest.fixture(scope="module")
 def build():
-    return build_accelerator(KERNEL, layout_config=LAYOUT,
-                             batch_size=512, seed=2)
+    return S2FASession(explore=ExploreConfig(seed=2)).explore(
+        KERNEL, layout_config=LAYOUT, batch_size=512)
 
 
 class TestBuildAccelerator:
@@ -63,7 +63,7 @@ class TestBuildAccelerator:
 
 class TestGenerateHlsC:
     def test_plain_generation(self):
-        source = generate_hls_c(KERNEL, layout_config=LAYOUT)
+        source = S2FASession().hls_c(KERNEL, layout_config=LAYOUT)
         assert "#pragma" not in source
         assert "k * in_1" in source.replace("3.0f", "k") \
             or "3.0f * in_1" in source
@@ -71,8 +71,8 @@ class TestGenerateHlsC:
     def test_with_config(self):
         config = DesignConfig(
             loops={"L0": LoopConfig(pipeline="on", parallel=4)})
-        source = generate_hls_c(KERNEL, layout_config=LAYOUT,
-                                config=config)
+        source = S2FASession().hls_c(KERNEL, layout_config=LAYOUT,
+                                     config=config)
         assert "#pragma ACCEL pipeline" in source
         assert "factor=4" in source
 

@@ -12,6 +12,7 @@ MODULES = [
     "repro.compiler",
     "repro.dse",
     "repro.dse.techniques",
+    "repro.durable",
     "repro.errors",
     "repro.fpga",
     "repro.hls",
@@ -36,8 +37,9 @@ def test_module_imports(name):
 def test_top_level_exports():
     import repro
 
-    assert callable(repro.build_accelerator)
-    assert callable(repro.generate_hls_c)
+    assert callable(repro.S2FASession)
+    assert not hasattr(repro, "build_accelerator")
+    assert not hasattr(repro, "generate_hls_c")
     assert repro.__version__
 
 

@@ -25,8 +25,6 @@ TOP_LEVEL = {
     "S2FASession",
     "StreamConfig",
     "UnknownDeviceError",
-    "build_accelerator",
-    "generate_hls_c",
     "device_names",
     "get_device",
     "__version__",
@@ -169,8 +167,3 @@ def test_runtime_config_fields():
                       "backoff_base_seconds", "backoff_factor",
                       "quarantine_base_seconds", "quarantine_factor",
                       "engine"}
-
-
-def test_deprecated_shims_are_marked():
-    assert "deprecated" in (repro.build_accelerator.__doc__ or "").lower()
-    assert "deprecated" in (repro.generate_hls_c.__doc__ or "").lower()

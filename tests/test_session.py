@@ -6,7 +6,6 @@ import warnings
 
 import pytest
 
-import repro
 from repro import ExploreConfig, RunOutcome, RuntimeConfig, S2FASession
 from repro.apps import ALL_APPS, get_app
 from repro.apps.base import AppSpec
@@ -67,21 +66,6 @@ class TestCompile:
 
 
 class TestExploreParity:
-    def test_facade_matches_deprecated_build_accelerator(self):
-        facade = S2FASession(explore=EXPLORE).explore(KERNEL)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = repro.build_accelerator(
-                KERNEL, seed=3, time_limit_minutes=60.0)
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
-        assert legacy.dse.best_point == facade.dse.best_point
-        assert legacy.dse.evaluations == facade.dse.evaluations
-        assert legacy.dse.termination_minutes \
-            == facade.dse.termination_minutes
-        assert legacy.config.describe() == facade.config.describe()
-        assert legacy.hls.cycles == facade.hls.cycles
-
     def test_tracing_does_not_change_results(self):
         plain = S2FASession(explore=EXPLORE).explore(KERNEL)
         traced = S2FASession(explore=EXPLORE, trace=True).explore(KERNEL)
@@ -92,14 +76,6 @@ class TestExploreParity:
 
 
 class TestShims:
-    def test_generate_hls_c_warns_and_matches_facade(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = repro.generate_hls_c(KERNEL)
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
-        assert legacy == S2FASession().hls_c(KERNEL)
-
     def test_facade_itself_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
