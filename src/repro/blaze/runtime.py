@@ -307,6 +307,18 @@ class BlazeRuntime:
             self.metrics.fallback_seconds += seconds
             self.clock.advance(seconds)
 
+    def jvm_fallback(self, runner: "_JVMTaskRunner", tasks: list,
+                     accel: str, span: str = "blaze.jvm_fallback") -> list:
+        """Software fallback: run the batch's original Scala on the JVM
+        ``runner`` and account it; returns one kernel output per task
+        (see :func:`pattern_results`)."""
+        before = runner.seconds
+        with self.tracer.span(span, accel=accel, tasks=len(tasks)) as sp:
+            outputs = [runner.call(task) for task in tasks]
+            sp.set(vclock_seconds=runner.seconds - before)
+        self.record_fallback(len(tasks), runner.seconds - before)
+        return outputs
+
     def _charge_waste(self, seconds: float) -> None:
         self.clock.advance(seconds)
         self.metrics.wasted_seconds += seconds
@@ -386,13 +398,26 @@ class ShellRDD:
         return accumulator
 
 
+def pattern_results(pattern: str, tasks: list, outputs: list) -> list:
+    """Per-task kernel outputs (from a board or the JVM alike) to the
+    transformation's results: a filter keeps the tasks whose flag is
+    set — the flags themselves never surface — a map returns the
+    outputs."""
+    if pattern == "filter":
+        return [task for task, keep in zip(tasks, outputs) if keep]
+    return outputs
+
+
 class AccRDD(RDD):
-    """RDD whose map is computed by the accelerator service."""
+    """RDD whose map is computed by the accelerator service, or by the
+    JVM when no board can take the batch."""
+
+    _label = "acc"
 
     def __init__(self, runtime: BlazeRuntime, parent: RDD,
                  entry: RegisteredAccelerator):
         super().__init__(parent.context, parent.num_partitions,
-                         f"{parent.name}.acc[{entry.accel_id}]")
+                         f"{parent.name}.{self._label}[{entry.accel_id}]")
         self.runtime = runtime
         self.parent = parent
         self.entry = entry
@@ -411,19 +436,11 @@ class AccRDD(RDD):
         tasks = self.parent.partition_data(partition)
         if not tasks:
             return []
-        results = self.runtime.offload_batch(self.entry, tasks)
-        if results is not None:
-            return results
-        # Software fallback: execute the original Scala on the JVM.
-        runner = self._jvm_runner
-        before = runner.seconds
-        with self.runtime.tracer.span(
-                "blaze.jvm_fallback", accel=self.entry.accel_id,
-                tasks=len(tasks)) as span:
-            results = [runner.call(task) for task in tasks]
-            span.set(vclock_seconds=runner.seconds - before)
-        self.runtime.record_fallback(len(tasks), runner.seconds - before)
-        return results
+        outputs = self.runtime.offload_batch(self.entry, tasks)
+        if outputs is None:
+            outputs = self.runtime.jvm_fallback(
+                self._jvm_runner, tasks, self.entry.accel_id)
+        return pattern_results(self.entry.compiled.pattern, tasks, outputs)
 
 
 #: Spark executor overhead per element: iterator chaining, closure
@@ -433,45 +450,14 @@ SPARK_TASK_OVERHEAD_NS = 180.0
 SPARK_EXECUTOR_SLOWDOWN = 2.0
 
 
-class FilterAccRDD(RDD):
+class FilterAccRDD(AccRDD):
     """RDD whose filter predicate is computed by the accelerator.
 
     The device returns one keep-flag per task; the host keeps the original
-    elements whose flag is non-zero (the flags themselves never surface).
+    elements whose flag is non-zero.
     """
 
-    def __init__(self, runtime: BlazeRuntime, parent: RDD,
-                 entry: RegisteredAccelerator):
-        super().__init__(parent.context, parent.num_partitions,
-                         f"{parent.name}.accfilter[{entry.accel_id}]")
-        self.runtime = runtime
-        self.parent = parent
-        self.entry = entry
-        self._runner: Optional[_JVMTaskRunner] = None
-
-    @property
-    def _jvm_runner(self) -> "_JVMTaskRunner":
-        if self._runner is None:
-            self._runner = _JVMTaskRunner(self.entry.compiled,
-                                          engine=self.runtime.engine)
-        return self._runner
-
-    def compute(self, partition: int) -> list:
-        tasks = self.parent.partition_data(partition)
-        if not tasks:
-            return []
-        flags = self.runtime.offload_batch(self.entry, tasks)
-        if flags is not None:
-            return [task for task, keep in zip(tasks, flags) if keep]
-        runner = self._jvm_runner
-        before = runner.seconds
-        with self.runtime.tracer.span(
-                "blaze.jvm_fallback", accel=self.entry.accel_id,
-                tasks=len(tasks)) as span:
-            kept = [task for task in tasks if runner.call(task)]
-            span.set(vclock_seconds=runner.seconds - before)
-        self.runtime.record_fallback(len(tasks), runner.seconds - before)
-        return kept
+    _label = "accfilter"
 
 
 class _JVMTaskRunner:

@@ -49,6 +49,7 @@ from ..hlsc.ast import (
     Var,
     VarDecl,
     While,
+    walk_stmts,
 )
 
 _INT_MAX = 2**31 - 1
@@ -123,6 +124,48 @@ _MATH_FUNCS = {
 }
 
 
+def function_longs(func: CFunction) -> frozenset[str]:
+    """Names in ``func`` declared 64-bit ``long`` (scalars and pointee
+    types alike): params plus every ``VarDecl`` at any depth."""
+    longs = {p.name for p in func.params if p.ctype.base == "long"}
+    longs.update(s.name for s in walk_stmts(func)
+                 if isinstance(s, VarDecl) and s.ctype.base == "long")
+    return frozenset(longs)
+
+
+def infer_long(expr: Expr, longs: frozenset, long_returns: frozenset) -> bool:
+    """Static width inference: is ``expr`` 64-bit ``long``, given the
+    enclosing function's long names and the kernel's long-returning
+    functions?  The one rule both C engines execute by."""
+    if isinstance(expr, IntLit):
+        return expr.ctype.base == "long"
+    if isinstance(expr, Var):
+        return expr.name in longs
+    if isinstance(expr, ArrayRef):
+        base = expr.array
+        while isinstance(base, (ArrayRef, BinOp)):
+            base = base.array if isinstance(base, ArrayRef) else base.lhs
+        return isinstance(base, Var) and base.name in longs
+    if isinstance(expr, Cast):
+        return expr.ctype.base == "long"
+    if isinstance(expr, UnOp):
+        return expr.op in ("-", "~") and infer_long(
+            expr.operand, longs, long_returns)
+    if isinstance(expr, BinOp):
+        if expr.op in ("<", "<=", ">", ">=", "==", "!=", "&&", "||"):
+            return False
+        if expr.op in ("<<", ">>"):
+            return infer_long(expr.lhs, longs, long_returns)
+        return (infer_long(expr.lhs, longs, long_returns)
+                or infer_long(expr.rhs, longs, long_returns))
+    if isinstance(expr, Ternary):
+        return (infer_long(expr.then, longs, long_returns)
+                or infer_long(expr.other, longs, long_returns))
+    if isinstance(expr, Call):
+        return expr.name in long_returns
+    return False
+
+
 class KernelExecutor:
     """Interprets one :class:`CKernel`."""
 
@@ -145,24 +188,9 @@ class KernelExecutor:
 
     def _function_longs(self, func: CFunction) -> frozenset[str]:
         cached = self._long_vars.get(func.name)
-        if cached is not None:
-            return cached
-        longs = {p.name for p in func.params if p.ctype.base == "long"}
-        stack: list = list(func.body.stmts)
-        while stack:
-            stmt = stack.pop()
-            if isinstance(stmt, VarDecl):
-                if stmt.ctype.base == "long":
-                    longs.add(stmt.name)
-            elif isinstance(stmt, If):
-                stack.extend(stmt.then.stmts)
-                if stmt.orelse is not None:
-                    stack.extend(stmt.orelse.stmts)
-            elif isinstance(stmt, (For, While)):
-                stack.extend(stmt.body.stmts)
-        result = frozenset(longs)
-        self._long_vars[func.name] = result
-        return result
+        if cached is None:
+            cached = self._long_vars[func.name] = function_longs(func)
+        return cached
 
     def run(self, buffers: dict[str, list], n_tasks: int) -> None:
         """Execute the top (batch) function, mutating output buffers."""
@@ -212,36 +240,10 @@ class KernelExecutor:
         key = id(expr)
         cached = self._long_memo.get(key)
         if cached is None:
-            cached = self._infer_long(expr)
-            self._long_memo[key] = cached
+            cached = self._long_memo[key] = infer_long(
+                expr, self._ctx[-1] if self._ctx else frozenset(),
+                self._long_returns)
         return cached
-
-    def _infer_long(self, expr: Expr) -> bool:
-        longs = self._ctx[-1] if self._ctx else frozenset()
-        if isinstance(expr, IntLit):
-            return expr.ctype.base == "long"
-        if isinstance(expr, Var):
-            return expr.name in longs
-        if isinstance(expr, ArrayRef):
-            base = expr.array
-            while isinstance(base, (ArrayRef, BinOp)):
-                base = base.array if isinstance(base, ArrayRef) else base.lhs
-            return isinstance(base, Var) and base.name in longs
-        if isinstance(expr, Cast):
-            return expr.ctype.base == "long"
-        if isinstance(expr, UnOp):
-            return expr.op in ("-", "~") and self._is_long(expr.operand)
-        if isinstance(expr, BinOp):
-            if expr.op in ("<", "<=", ">", ">=", "==", "!=", "&&", "||"):
-                return False
-            if expr.op in ("<<", ">>"):
-                return self._is_long(expr.lhs)
-            return self._is_long(expr.lhs) or self._is_long(expr.rhs)
-        if isinstance(expr, Ternary):
-            return self._is_long(expr.then) or self._is_long(expr.other)
-        if isinstance(expr, Call):
-            return expr.name in self._long_returns
-        return False
 
     # ------------------------------------------------------------------
     # Statements

@@ -16,19 +16,28 @@ of Python closures over a slot-indexed frame:
   up front, so runaway kernels still trap with the tree engine's exact
   message, at worst a few statements later.
 
-On top of that, innermost counted loops whose bodies are straight-line
-element-wise assignments are batch-executed through numpy when it is
-available (:data:`HAVE_NUMPY`).  The gate is deliberately narrow so the
-fast path is *bit-identical* to scalar execution:
+One loop idiom rides on top of the closures: an innermost
+``for (i = s; i < b; i++) dst[i] = src[i];`` runs as a single list-slice
+copy (``_FnCompiler._copy_idiom``) behind a runtime pre-check: both
+operands exactly ``CPointer``, distinct backing lists, whole range in
+bounds, step budget covers the loop.  When the check fails the scalar
+closure of the same loop runs instead, reproducing the tree engine's
+traps and partial side effects exactly.
 
-* int ops ride an int64 carrier (numpy's wrapping == ``_i64``), with an
-  explicit mask re-wrapping 32-bit ops;
-* float ops are IEEE-double element-wise ops only — no reductions (sum
-  order would change bits), no math intrinsics, no int division;
-* a runtime pre-check (operand types, bounds, aliasing, zero divisors,
-  step budget) falls back to scalar execution of the same loop, which
-  reproduces the tree engine's behavior exactly, including traps and
-  partial side effects.
+Nothing more general is here because the traffic does not pay for it.
+Of the 30 ``for`` loops in the 8 apps' kernels, a numpy element-wise
+vectorizer (490 lines, removed) could plan four — median of 15 64-task
+batches, with the plan vs with scalar closures only::
+
+    app   planned loop                  trips    plan     closures
+    LR    out[j] = g * in[j]               16    2.35 ms    2.14 ms
+    LLS   out[j] = g * in[j]               16    2.08 ms    2.00 ms
+    AES   s[j] = (in[j] ^ rk[j]) & 255     16  127.5  ms  126.8  ms
+    S-W   arr0[i] = arr1[i] row copy      129   55.6  ms   73.8  ms
+
+— while importing numpy cost ~140 ms of every set-up and 16 MB of RSS
+in every process that offloads.  The one pattern that pays is a memcpy,
+which a list slice does (S-W: 48.3 ms) without the dependency.
 
 Semantics — results, buffer mutations, trap types and messages — are
 the tree engine's; ``tests/fpga/test_flat_equivalence.py`` and the fuzz
@@ -77,14 +86,9 @@ from .executor import (
     _i32,
     _i64,
     CPointer,
+    function_longs,
+    infer_long,
 )
-
-try:  # gated dependency: the scalar engine is complete without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is in the base image
-    _np = None
-
-HAVE_NUMPY = _np is not None
 
 _INT_MAX = 2**31 - 1
 _INT_MIN = -2**31
@@ -98,15 +102,6 @@ _UNDEF = object()
 _BRK = object()
 _CNT = object()
 _RET = object()
-
-#: Minimum trip count before the numpy path beats slicing overhead.
-_VECTOR_MIN_ITERS = 16
-
-
-def _wrap32(arr):
-    """Re-wrap an int64 numpy carrier to signed-32-bit lanes."""
-    return ((arr + 0x80000000) & 0xFFFFFFFF) - 0x80000000
-
 
 class _FlatFunction:
     """One compiled function: frame layout plus a body closure."""
@@ -225,9 +220,7 @@ class _FnCompiler:
         for expr in walk_exprs(func):
             if isinstance(expr, Var):
                 self._slot(expr.name)
-        self.longs = self._function_longs()
-        #: declared static types, for the vector gate only.
-        self.decl_types = self._declared_types()
+        self.longs = function_longs(func)
 
     def _slot(self, name: str) -> int:
         slot = self.slots.get(name)
@@ -236,64 +229,14 @@ class _FnCompiler:
             self.slots[name] = slot
         return slot
 
-    def _function_longs(self) -> frozenset:
-        longs = {p.name for p in self.func.params
-                 if p.ctype.base == "long"}
-        for stmt in walk_stmts(self.func):
-            if isinstance(stmt, VarDecl) and stmt.ctype.base == "long":
-                longs.add(stmt.name)
-        return frozenset(longs)
-
-    def _declared_types(self) -> dict:
-        """name -> ('f'|'i32'|'i64', is_pointer) from declarations."""
-        types = {}
-        for p in self.func.params:
-            types[p.name] = (_lane_type(p.ctype), p.is_pointer)
-        for stmt in walk_stmts(self.func):
-            if isinstance(stmt, VarDecl):
-                lane = _lane_type(stmt.ctype)
-                prior = types.get(stmt.name)
-                entry = (lane, stmt.is_array)
-                if prior is not None and prior != entry:
-                    types[stmt.name] = None  # conflicting decls: no gate
-                else:
-                    types[stmt.name] = entry
-        return types
-
     def compile(self) -> _FlatFunction:
         body = self._compile_block(self.func.body)
         return _FlatFunction(
             self.func.name, self.func.params, len(self.slots),
             tuple(self.slots[p.name] for p in self.func.params), body)
 
-    # -- width inference (matches the tree engine) ---------------------
-
     def _is_long(self, expr: Expr) -> bool:
-        if isinstance(expr, IntLit):
-            return expr.ctype.base == "long"
-        if isinstance(expr, Var):
-            return expr.name in self.longs
-        if isinstance(expr, ArrayRef):
-            base = expr.array
-            while isinstance(base, (ArrayRef, BinOp)):
-                base = (base.array if isinstance(base, ArrayRef)
-                        else base.lhs)
-            return isinstance(base, Var) and base.name in self.longs
-        if isinstance(expr, Cast):
-            return expr.ctype.base == "long"
-        if isinstance(expr, UnOp):
-            return expr.op in ("-", "~") and self._is_long(expr.operand)
-        if isinstance(expr, BinOp):
-            if expr.op in ("<", "<=", ">", ">=", "==", "!=", "&&", "||"):
-                return False
-            if expr.op in ("<<", ">>"):
-                return self._is_long(expr.lhs)
-            return self._is_long(expr.lhs) or self._is_long(expr.rhs)
-        if isinstance(expr, Ternary):
-            return self._is_long(expr.then) or self._is_long(expr.other)
-        if isinstance(expr, Call):
-            return expr.name in self.executor._long_returns
-        return False
+        return infer_long(expr, self.longs, self.executor._long_returns)
 
     # -- statements ----------------------------------------------------
 
@@ -493,24 +436,71 @@ class _FnCompiler:
                 env[vslot] = env[vslot] + step
             return None
 
-        plan = self._vector_plan(stmt) if HAVE_NUMPY else None
-        if plan is None:
+        copy = self._copy_idiom(stmt)
+        if copy is None:
             return scalar
+        dslot, sslot, start_of, bound_of = copy
+        iter_ticks = 1 + len(stmt.body.stmts)
 
-        def hybrid(env, rt, plan=plan, scalar=scalar, vslot=vslot,
-                   start_f=start_f, bound_f=bound_f, step=step):
-            start = start_f(env, rt)
-            bound = bound_f(env, rt)
-            if type(start) is not int or type(bound) is not int:
-                return scalar(env, rt)
-            n = max(0, -(-(bound - start) // step))
-            if n < _VECTOR_MIN_ITERS:
-                return scalar(env, rt)
-            if plan(env, rt, start, n):
-                env[vslot] = start + n * step
-                return None
+        def hybrid(env, rt, scalar=scalar, vslot=vslot, dslot=dslot,
+                   sslot=sslot, start_of=start_of, bound_of=bound_of,
+                   iter_ticks=iter_ticks):
+            start = start_of(env)
+            bound = bound_of(env)
+            dst = env[dslot]
+            src = env[sslot]
+            if type(start) is int and type(bound) is int \
+                    and type(dst) is CPointer and type(src) is CPointer \
+                    and dst.backing is not src.backing:
+                n = max(0, bound - start)
+                dlo = dst.offset + start
+                slo = src.offset + start
+                # What the scalar loop would charge: per iteration one
+                # loop tick plus the body block, then the exit check.
+                ticks = n * iter_ticks + 1
+                if dlo >= 0 and dlo + n <= len(dst.backing) \
+                        and slo >= 0 and slo + n <= len(src.backing) \
+                        and rt._steps + ticks <= rt.max_steps:
+                    rt._steps += ticks
+                    dst.backing[dlo:dlo + n] = src.backing[slo:slo + n]
+                    env[vslot] = start + n
+                    return None
             return scalar(env, rt)
         return hybrid
+
+    def _copy_idiom(self, stmt: For) -> Optional[tuple]:
+        """Recognise ``for (i = s; i < b; i++) dst[i] = src[i];``.
+
+        Returns ``(dst_slot, src_slot, start_of, bound_of)`` or None.
+        ``s`` and ``b`` must each be an int literal or a name other than
+        ``i``, so the two getters read a constant or a frame slot: they
+        cannot trap, tick or observe the body's stores, and a run-time
+        decline (see ``hybrid`` above) is therefore invisible.  Neither
+        array may be named ``i``: the loop overwrites that slot first.
+        """
+        body = [s for s in stmt.body.stmts if not isinstance(s, Pragma)]
+        if stmt.step != 1 or len(body) != 1:
+            return None
+        copy = body[0]
+        if not (isinstance(copy, Assign) and isinstance(copy.lhs, ArrayRef)
+                and isinstance(copy.rhs, ArrayRef)):
+            return None
+        for ref in (copy.lhs, copy.rhs):
+            if not (isinstance(ref.array, Var) and isinstance(ref.index, Var)
+                    and ref.index.name == stmt.var
+                    and ref.array.name != stmt.var):
+                return None
+        getters = []
+        for expr in (stmt.start, stmt.bound):
+            if isinstance(expr, IntLit):
+                getters.append(lambda env, value=expr.value: value)
+            elif isinstance(expr, Var) and expr.name != stmt.var:
+                getters.append(
+                    lambda env, slot=self._slot(expr.name): env[slot])
+            else:
+                return None
+        return (self._slot(copy.lhs.array.name),
+                self._slot(copy.rhs.array.name), *getters)
 
     # -- expressions ---------------------------------------------------
 
@@ -829,516 +819,6 @@ class _FnCompiler:
         def run(env, rt, name=name):
             raise S2FAError(f"kernel calls unknown function {name!r}")
         return run
-
-    # ------------------------------------------------------------------
-    # Vectorized loop plans
-    # ------------------------------------------------------------------
-
-    def _vector_plan(self, stmt: For) -> Optional[Callable]:
-        """Try to build a numpy batch plan for an innermost For loop.
-
-        Returns a closure ``plan(env, rt, start, n) -> bool`` executing
-        the whole loop in one shot (True) or declining so the caller
-        falls back to the scalar closure (False).  The gate is described
-        in the module docstring; any structural mismatch returns None
-        here, at compile time.
-        """
-        if stmt.step < 1:
-            return None
-        var = stmt.var
-        # Bounds must be loop-invariant: no reference to the loop var or
-        # to anything the body assigns.
-        assigned = set()
-        for s in stmt.body.stmts:
-            if isinstance(s, Assign) and isinstance(s.lhs, Var):
-                assigned.add(s.lhs.name)
-            elif isinstance(s, VarDecl):
-                assigned.add(s.name)
-        for bound_expr in (stmt.start, stmt.bound):
-            for e in walk_exprs(bound_expr):
-                if isinstance(e, Var) and (e.name == var
-                                           or e.name in assigned):
-                    return None
-        builder = _VectorBuilder(self, var)
-        for s in stmt.body.stmts:
-            if isinstance(s, Pragma):
-                continue
-            if isinstance(s, VarDecl):
-                if s.is_array or s.init is None:
-                    return None
-                if not self._name_local_to(s.name, stmt):
-                    return None
-                if not builder.add_temp(s.name, s.init):
-                    return None
-            elif isinstance(s, Assign):
-                if isinstance(s.lhs, Var):
-                    if not self._name_local_to(s.lhs.name, stmt):
-                        return None
-                    if not builder.add_temp(s.lhs.name, s.rhs):
-                        return None
-                elif isinstance(s.lhs, ArrayRef):
-                    if not builder.add_store(s.lhs, s.rhs):
-                        return None
-                else:
-                    return None
-            else:
-                return None
-        return builder.finish(len(stmt.body.stmts))
-
-    def _name_local_to(self, name: str, loop: For) -> bool:
-        """True if ``name`` appears nowhere in the function outside
-        ``loop``'s body (so its post-loop value is unobservable)."""
-        inside = set()
-        for e in walk_exprs(loop.body):
-            if isinstance(e, Var):
-                inside.add(id(e))
-        for s in walk_stmts(loop.body):
-            if isinstance(s, (Assign, VarDecl)):
-                inside.add(id(s))
-        for e in walk_exprs(self.func):
-            if isinstance(e, Var) and e.name == name and id(e) not in inside:
-                return False
-        for s in walk_stmts(self.func):
-            if isinstance(s, VarDecl) and s.name == name \
-                    and id(s) not in inside:
-                return False
-            if isinstance(s, Assign) and isinstance(s.lhs, Var) \
-                    and s.lhs.name == name and id(s) not in inside:
-                return False
-            if isinstance(s, For) and s.var == name:
-                return False
-        return True
-
-
-class _VectorBuilder:
-    """Accumulates the element-wise program of one vectorizable loop."""
-
-    def __init__(self, compiler: _FnCompiler, var: str):
-        self.c = compiler
-        self.var = var
-        #: temp name -> (lane, producer) in assignment order.
-        self.temps: dict[str, tuple] = {}
-        self.loads: list = []    # (ptr_slot, ptr_name, affine, lane)
-        self.stores: list = []   # (ptr_slot, ptr_name, affine, lane, producer)
-        self.invariants: list = []  # (slot, name, lane)
-        self.ok = True
-
-    # A "producer" is a closure (ctx) -> numpy array or python scalar,
-    # where ctx maps load ids / temp names / invariant slots to values
-    # prepared by the plan prologue.
-
-    def add_temp(self, name: str, rhs: Expr) -> bool:
-        lane_producer = self._vec_expr(rhs)
-        if lane_producer is None:
-            return False
-        lane, producer = lane_producer
-        decl = self.c.decl_types.get(name)
-        if decl is not None and decl[1]:
-            return False  # array shadowing a scalar temp: bail
-        self.temps[name] = (lane, producer)
-        return True
-
-    def add_store(self, lhs: ArrayRef, rhs: Expr) -> bool:
-        if not isinstance(lhs.array, Var):
-            return False
-        ptr_name = lhs.array.name
-        decl = self.c.decl_types.get(ptr_name)
-        if decl is None or not decl[1]:
-            return False
-        affine = self._affine(lhs.index)
-        if affine is None or affine[0] == 0:
-            return False
-        # One store per pointer; a stored pointer is never loaded
-        # (the rhs compile below may add loads, so check afterwards too).
-        if any(s[1] == ptr_name for s in self.stores):
-            return False
-        lane_producer = self._vec_expr(rhs)
-        if lane_producer is None:
-            return False
-        lane, producer = lane_producer
-        if any(l[1] == ptr_name for l in self.loads):
-            return False
-        self.stores.append((self.c.slots[ptr_name], ptr_name, affine,
-                            lane, producer))
-        return True
-
-    # -- affine index extraction: a*i + b ------------------------------
-
-    def _affine(self, expr: Expr):
-        """Return ``(a, b)`` with each side an int or a loop-invariant
-        scalar closure ``(env) -> value``; None if not affine in the
-        loop var."""
-        if isinstance(expr, IntLit):
-            return (0, expr.value)
-        if isinstance(expr, Var):
-            if expr.name == self.var:
-                return (1, 0)
-            inv = self._invariant(expr.name, want="i")
-            if inv is None:
-                return None
-            return (0, inv)
-        if isinstance(expr, BinOp):
-            if expr.op == "+":
-                left = self._affine(expr.lhs)
-                right = self._affine(expr.rhs)
-                if left is None or right is None:
-                    return None
-                return (_lin_add(left[0], right[0]),
-                        _lin_add(left[1], right[1]))
-            if expr.op == "-":
-                left = self._affine(expr.lhs)
-                right = self._affine(expr.rhs)
-                if left is None or right is None:
-                    return None
-                return (_lin_sub(left[0], right[0]),
-                        _lin_sub(left[1], right[1]))
-            if expr.op == "*":
-                left = self._affine(expr.lhs)
-                right = self._affine(expr.rhs)
-                if left is None or right is None:
-                    return None
-                # One side must be degree-0 to stay affine.
-                if left[0] == 0:
-                    const, lin = left[1], right
-                elif right[0] == 0:
-                    const, lin = right[1], left
-                else:
-                    return None
-                return (_lin_mul(lin[0], const), _lin_mul(lin[1], const))
-            return None
-        return None
-
-    def _invariant(self, name: str, want: str):
-        """A loop-invariant scalar read: returns a tag used as ctx key,
-        registering the (slot, name, lane) for the prologue check."""
-        if name in self.temps:
-            return None
-        decl = self.c.decl_types.get(name)
-        if decl is None or decl[1]:
-            return None
-        lane = decl[0]
-        if want == "i" and lane == "f":
-            return None
-        slot = self.c.slots[name]
-        for entry in self.invariants:
-            if entry[0] == slot:
-                return ("inv", slot)
-        self.invariants.append((slot, name, lane))
-        return ("inv", slot)
-
-    # -- element-wise expression compilation ---------------------------
-
-    def _vec_expr(self, expr: Expr):
-        """Return ``(lane, producer)`` or None.  lane: 'f'|'i32'|'i64'."""
-        if isinstance(expr, IntLit):
-            lane = "i64" if expr.ctype.base == "long" else "i32"
-            value = expr.value
-            return lane, (lambda ctx, value=value: value)
-        if isinstance(expr, FloatLit):
-            value = expr.value
-            return "f", (lambda ctx, value=value: value)
-        if isinstance(expr, Var):
-            name = expr.name
-            if name == self.var:
-                return "i32", (lambda ctx: ctx["iota"])
-            if name in self.temps:
-                lane = self.temps[name][0]
-                return lane, (lambda ctx, name=name: ctx[name])
-            inv = self._invariant(name, want="any")
-            if inv is None:
-                return None
-            lane = self.c.decl_types[name][0]
-            return lane, (lambda ctx, inv=inv: ctx[inv])
-        if isinstance(expr, ArrayRef):
-            if not isinstance(expr.array, Var):
-                return None
-            ptr_name = expr.array.name
-            decl = self.c.decl_types.get(ptr_name)
-            if decl is None or not decl[1]:
-                return None
-            affine = self._affine(expr.index)
-            if affine is None:
-                return None
-            lane = decl[0]
-            load_id = len(self.loads)
-            self.loads.append((self.c.slots[ptr_name], ptr_name,
-                               affine, lane))
-            key = ("load", load_id)
-            return lane, (lambda ctx, key=key: ctx[key])
-        if isinstance(expr, UnOp):
-            operand = self._vec_expr(expr.operand)
-            if operand is None:
-                return None
-            lane, prod = operand
-            if expr.op == "-":
-                if lane == "f":
-                    return "f", (lambda ctx, prod=prod: -prod(ctx))
-                if lane == "i32":
-                    return "i32", (lambda ctx, prod=prod:
-                                   _wrap32(-prod(ctx)))
-                return "i64", (lambda ctx, prod=prod: -prod(ctx))
-            if expr.op == "~":
-                if lane == "f":
-                    return None
-                if lane == "i32":
-                    return "i32", (lambda ctx, prod=prod:
-                                   _wrap32(~prod(ctx)))
-                return "i64", (lambda ctx, prod=prod: ~prod(ctx))
-            return None
-        if isinstance(expr, Cast):
-            operand = self._vec_expr(expr.expr)
-            if operand is None:
-                return None
-            lane, prod = operand
-            base = expr.ctype.base
-            if base in ("float", "double"):
-                if lane == "f":
-                    return "f", prod
-                return "f", (lambda ctx, prod=prod:
-                             _np.asarray(prod(ctx), dtype=_np.float64)
-                             if not _np.isscalar(prod(ctx))
-                             else float(prod(ctx)))
-            if lane == "f":
-                return None  # float->int saturation stays scalar
-            if base == "char":
-                return "i32", (lambda ctx, prod=prod: prod(ctx) & 0xFFFF)
-            if base == "short":
-                return "i32", (lambda ctx, prod=prod:
-                               ((prod(ctx) + 0x8000) & 0xFFFF) - 0x8000)
-            if base == "long":
-                return "i64", prod
-            return "i32", (lambda ctx, prod=prod: _wrap32(prod(ctx)))
-        if isinstance(expr, BinOp):
-            return self._vec_binop(expr)
-        return None
-
-    def _vec_binop(self, expr: BinOp):
-        op = expr.op
-        if op not in ("+", "-", "*", "/", "<<", ">>", "&", "|", "^"):
-            return None
-        left = self._vec_expr(expr.lhs)
-        right = self._vec_expr(expr.rhs)
-        if left is None or right is None:
-            return None
-        llane, lprod = left
-        rlane, rprod = right
-        if op == "/":
-            # Division stays scalar: int division needs the trap-exact
-            # zero check, float division the signed-zero/inf edge cases.
-            return None
-        if "f" in (llane, rlane):
-            if op not in ("+", "-", "*"):
-                return None
-            fn = {"+": _np_add, "-": _np_sub, "*": _np_mul}[op]
-            return "f", (lambda ctx, a=lprod, b=rprod, fn=fn:
-                         fn(a(ctx), b(ctx)))
-        # Both integer lanes.  Width mirrors the tree engine: shifts
-        # take the lhs width, everything else widens if either side is
-        # long.
-        if op in ("<<", ">>"):
-            lane = llane
-        else:
-            lane = "i64" if "i64" in (llane, rlane) else "i32"
-        mask = 63 if lane == "i64" else 31
-        if op == "+":
-            base = lambda ctx, a=lprod, b=rprod: a(ctx) + b(ctx)
-        elif op == "-":
-            base = lambda ctx, a=lprod, b=rprod: a(ctx) - b(ctx)
-        elif op == "*":
-            base = lambda ctx, a=lprod, b=rprod: a(ctx) * b(ctx)
-        elif op == "<<":
-            base = (lambda ctx, a=lprod, b=rprod, mask=mask:
-                    a(ctx) << (b(ctx) & mask))
-        elif op == ">>":
-            base = (lambda ctx, a=lprod, b=rprod, mask=mask:
-                    a(ctx) >> (b(ctx) & mask))
-        elif op == "&":
-            base = lambda ctx, a=lprod, b=rprod: a(ctx) & b(ctx)
-        elif op == "|":
-            base = lambda ctx, a=lprod, b=rprod: a(ctx) | b(ctx)
-        else:
-            base = lambda ctx, a=lprod, b=rprod: a(ctx) ^ b(ctx)
-        if lane == "i32":
-            return "i32", (lambda ctx, base=base: _wrap32(base(ctx)))
-        return "i64", base
-
-    # -- plan assembly -------------------------------------------------
-
-    def finish(self, n_body_stmts: int) -> Optional[Callable]:
-        if not self.ok or not self.stores:
-            return None
-        temps = tuple(self.temps.items())
-        loads = tuple(self.loads)
-        stores = tuple(self.stores)
-        invariants = tuple(self.invariants)
-        temp_slots = tuple((self.c.slots[name], name)
-                           for name, _ in temps)
-
-        def plan(env, rt, start: int, n: int,
-                 temps=temps, loads=loads, stores=stores,
-                 invariants=invariants, temp_slots=temp_slots,
-                 n_body_stmts=n_body_stmts) -> bool:
-            # Budget: the scalar loop would tick 1 per iteration plus
-            # the block charge, plus the final exit check.
-            ticks = n * (1 + n_body_stmts) + 1
-            if rt._steps + ticks > rt.max_steps:
-                return False  # let the scalar loop trap mid-flight
-            ctx: dict = {}
-            # Loop-invariant scalars: runtime types must match the
-            # declared lanes the closures were compiled against.
-            for slot, _name, lane in invariants:
-                value = env[slot]
-                if lane == "f":
-                    if type(value) is not float:
-                        return False
-                elif not isinstance(value, int) \
-                        or isinstance(value, bool):
-                    return False
-                ctx[("inv", slot)] = value
-            # Gather input segments with bounds/dtype verification.
-            arange = _np.arange(n, dtype=_np.int64)
-            backings = {}
-            for load_id, (slot, _pname, affine, lane) in enumerate(loads):
-                ptr = env[slot]
-                if not isinstance(ptr, CPointer):
-                    return False
-                a = _lin_value(affine[0], env)
-                bb = _lin_value(affine[1], env)
-                if a is None or bb is None:
-                    return False
-                b = bb + ptr.offset
-                lo = min(b, a * (n - 1) + b)
-                hi = max(b, a * (n - 1) + b)
-                if lo < 0 or hi >= len(ptr.backing):
-                    return False
-                seg = ptr.backing[lo:hi + 1]
-                try:
-                    arr = _np.asarray(seg)
-                except (TypeError, ValueError, OverflowError):
-                    return False
-                if lane == "f":
-                    if arr.dtype != _np.float64:
-                        return False
-                    for x in seg:
-                        if type(x) is not float:
-                            return False
-                elif arr.dtype != _np.int64:
-                    return False
-                idx = a * arange + (b - lo)
-                ctx[("load", load_id)] = arr[idx]
-                backings.setdefault(id(ptr.backing), ptr.backing)
-            ctx["iota"] = arange + start
-            # Evaluate temps in program order, then store producers.
-            try:
-                with _np.errstate(all="ignore"):
-                    for name, (_lane, producer) in temps:
-                        ctx[name] = producer(ctx)
-                    results = []
-                    store_backings: set = set()
-                    for slot, _pname, affine, lane, producer in stores:
-                        ptr = env[slot]
-                        if not isinstance(ptr, CPointer):
-                            return False
-                        a = _lin_value(affine[0], env)
-                        bb = _lin_value(affine[1], env)
-                        if a is None or bb is None or a <= 0:
-                            return False
-                        b = bb + ptr.offset
-                        hi = a * (n - 1) + b
-                        if b < 0 or hi >= len(ptr.backing):
-                            return False
-                        if id(ptr.backing) in backings \
-                                or id(ptr.backing) in store_backings:
-                            return False  # aliases another access
-                        store_backings.add(id(ptr.backing))
-                        value = producer(ctx)
-                        results.append((ptr, a, b, value, lane))
-            except (TypeError, ValueError, OverflowError,
-                    FloatingPointError):
-                return False
-            # Commit: all checks passed, write every store back.
-            rt._steps += ticks
-            for ptr, a, b, value, lane in results:
-                if _np.isscalar(value) or getattr(value, "ndim", 1) == 0:
-                    out = [_scalar_py(value, lane)] * n
-                else:
-                    out = value.tolist()
-                ptr.backing[b:a * (n - 1) + b + 1:a] = out
-            # Scalar temps keep their last-iteration value, like the
-            # tree engine's flat env.
-            for slot, name in temp_slots:
-                value = ctx[name]
-                if _np.isscalar(value) or getattr(value, "ndim", 1) == 0:
-                    env[slot] = _scalar_py(value,
-                                           dict(temps)[name][0])
-                else:
-                    env[slot] = value[-1].item()
-            return True
-        return plan
-
-
-def _scalar_py(value, lane):
-    if lane == "f":
-        return float(value)
-    return int(value)
-
-
-def _lane_type(ctype) -> str:
-    if ctype.is_float:
-        return "f"
-    return "i64" if ctype.base == "long" else "i32"
-
-
-def _lin_add(x, y):
-    if isinstance(x, int) and isinstance(y, int):
-        return x + y
-    return ("add", x, y)
-
-
-def _lin_sub(x, y):
-    if isinstance(x, int) and isinstance(y, int):
-        return x - y
-    return ("sub", x, y)
-
-
-def _lin_mul(x, y):
-    if isinstance(x, int) and isinstance(y, int):
-        return x * y
-    return ("mul", x, y)
-
-
-def _lin_value(term, env):
-    """Evaluate an affine term: int, ('inv', slot), or an op tuple.
-    Returns None when a runtime value is not a plain int."""
-    if isinstance(term, int):
-        return term
-    tag = term[0]
-    if tag == "inv":
-        value = env[term[1]]
-        if type(value) is not int:
-            return None
-        return value
-    a = _lin_value(term[1], env)
-    b = _lin_value(term[2], env)
-    if a is None or b is None:
-        return None
-    if tag == "add":
-        return a + b
-    if tag == "sub":
-        return a - b
-    return a * b
-
-
-def _np_add(a, b):
-    return a + b
-
-
-def _np_sub(a, b):
-    return a - b
-
-
-def _np_mul(a, b):
-    return a * b
 
 
 _CMP_FUNCS = {

@@ -36,7 +36,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..blaze.manager import ACTIVE, LOST, QUARANTINED
-from ..blaze.runtime import BlazeRuntime, _JVMTaskRunner
+from ..blaze.runtime import (
+    BlazeRuntime,
+    _JVMTaskRunner,
+    pattern_results,
+)
 from ..compiler.driver import compile_kernel
 from ..config import ServeConfig
 from ..errors import S2FAError, ServeError
@@ -510,32 +514,16 @@ class ServeCore:
         # quarantines, faults, or an exhausted deadline budget).
         degraded = entry.config is not None and outputs is None
 
-        if outputs is not None:
-            results = ([task for task, keep in zip(tasks, outputs)
-                        if keep] if compiled.pattern == "filter"
-                       else outputs)
-        else:
-            results = self._fallback(fleet, compiled, tasks)
+        if outputs is None:
+            # Execute on the JVM interpreter (bit-identical, software).
+            if fleet.runner is None:
+                fleet.runner = _JVMTaskRunner(compiled,
+                                              engine=self.runtime.engine)
+            outputs = self.runtime.jvm_fallback(
+                fleet.runner, tasks, compiled.accel_id,
+                span="serve.jvm_fallback")
+        results = pattern_results(compiled.pattern, tasks, outputs)
         return ServeResponse(
             request_id=request.request_id, status=OK, result=results,
             cache_hit=was_hit, degraded=degraded,
             extra={"tasks": len(tasks)})
-
-    def _fallback(self, fleet: Fleet, compiled, tasks: list) -> list:
-        """Execute on the JVM interpreter (bit-identical, software)."""
-        if fleet.runner is None:
-            fleet.runner = _JVMTaskRunner(compiled,
-                                          engine=self.runtime.engine)
-        runner = fleet.runner
-        before = runner.seconds
-        with self.tracer.span("serve.jvm_fallback",
-                              accel=compiled.accel_id,
-                              tasks=len(tasks)) as span:
-            if compiled.pattern == "filter":
-                results = [task for task in tasks if runner.call(task)]
-            else:
-                results = [runner.call(task) for task in tasks]
-            span.set(vclock_seconds=runner.seconds - before)
-        self.runtime.record_fallback(len(tasks),
-                                     runner.seconds - before)
-        return results
