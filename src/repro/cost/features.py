@@ -16,10 +16,10 @@ schema — append new features, never reorder.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from ..hls.analysis import LoopFacts, analyze
 from ..hls.device import Device, VU9P
-from ..hlsc.analysis import LoopInfo, flatten_loop_tree, kernel_loop_tree
 from ..merlin.config import DesignConfig
 from ..errors import CostModelError
 
@@ -69,10 +69,6 @@ FEATURE_NAMES = (
     "d_mhz",              # target clock / 100 MHz
 )
 
-_FLOAT_OPS = ("fadd", "fmul", "fdiv", "fspec")
-_MEM_OPS = ("load", "store")
-_DIV_OPS = ("idiv", "fdiv", "fspec")
-
 
 def _log2p(x: float) -> float:
     return math.log2(1.0 + max(0.0, x))
@@ -99,81 +95,26 @@ class FeatureVector:
         return dict(zip(FEATURE_NAMES, self.values))
 
 
-@dataclass
-class KernelProfile:
-    """Static per-kernel facts, computed once and reused per point.
-
-    Scoring thousands of configs against one kernel must not re-analyze
-    the kernel every time; :class:`~repro.cost.surrogate.SurrogateCostModel`
-    keeps one profile per kernel digest.
-    """
-
-    roots: list = field(default_factory=list)
-    loops: list = field(default_factory=list)
-    #: trip-count product of each loop's ancestors *including itself*
-    trip_weight: dict = field(default_factory=dict)
-    static: dict = field(default_factory=dict)
-
-
-def profile_kernel(kernel) -> KernelProfile:
-    """Analyze a kernel once into the static half of the features."""
-    roots = kernel_loop_tree(kernel)
-    loops = flatten_loop_tree(roots)
-    profile = KernelProfile(roots=roots, loops=loops)
-
-    def visit(info: LoopInfo, outer: float) -> None:
-        weight = outer * float(info.trip_count or 1)
-        profile.trip_weight[info.label] = weight
-        for child in info.children:
-            visit(child, weight)
-
-    for root in roots:
-        visit(root, 1.0)
-
-    weighted = {}
-    arrays: set[str] = set()
-    for info in loops:
-        w = profile.trip_weight[info.label]
-        for category, count in info.body_ops.counts.items():
-            weighted[category] = weighted.get(category, 0.0) + w * count
-        arrays |= info.arrays_read | info.arrays_written
-    total = sum(weighted.values()) or 1.0
-    profile.static = {
-        "k_loops": float(len(loops)),
-        "k_max_depth": float(max((i.depth for i in loops), default=0)),
-        "k_log_trips": sum(
-            math.log2(max(1, i.trip_count or 1)) for i in loops),
-        "k_log_ops": _log2p(sum(weighted.values())),
-        "k_frac_float": sum(weighted.get(c, 0.0)
-                            for c in _FLOAT_OPS) / total,
-        "k_frac_mem": sum(weighted.get(c, 0.0) for c in _MEM_OPS) / total,
-        "k_frac_div": sum(weighted.get(c, 0.0) for c in _DIV_OPS) / total,
-        "k_reductions": float(sum(1 for i in loops if i.is_reduction)),
-        "k_carried": float(sum(
-            1 for i in loops
-            if i.carried_array_dep or i.carried_scalar_dep)),
-        "k_arrays": float(len(arrays)),
-    }
-    return profile
-
-
 def extract_features(kernel, config: DesignConfig,
-                     device: Device = VU9P,
-                     profile: KernelProfile | None = None) -> FeatureVector:
-    """Extract the full feature row for one (kernel, config, device)."""
-    if profile is None:
-        profile = profile_kernel(kernel)
-    effective = config.effective(profile.roots)
+                     device: Device = VU9P) -> FeatureVector:
+    """Extract the full feature row for one (kernel, config, device).
 
-    values = dict(profile.static)
+    The ``k_*`` columns and the loop tree come from the kernel's shared
+    :func:`~repro.hls.analysis.analyze` result, so scoring thousands of
+    configs against one kernel walks its AST once.
+    """
+    analysis = analyze(kernel)
+    effective = config.effective(analysis.roots)
+
+    values = dict(analysis.statistics)
     log_parallel = log_tile = 0.0
     pipe_on = pipe_flatten = 0
     recurrence = 0.0
     bram_tiles = 0.0
     flatten_unroll = 0.0
-    n_loops = max(1, len(profile.loops))
+    n_loops = max(1, len(analysis.loops))
 
-    for info in profile.loops:
+    for info in analysis.loops:
         cfg = effective.loop(info.label)
         proposed = config.loop(info.label)
         log_parallel += math.log2(max(1, cfg.parallel))
@@ -183,10 +124,8 @@ def extract_features(kernel, config: DesignConfig,
         elif cfg.pipeline == "flatten":
             pipe_flatten += 1
         if cfg.pipeline != "off" and info.has_carried_dep:
-            recurrence = max(recurrence,
-                             float(info.recurrence_ops.total))
-        bram_tiles += cfg.tile * len(
-            info.arrays_read | info.arrays_written)
+            recurrence = max(recurrence, float(info.recurrence_ops))
+        bram_tiles += cfg.tile * info.array_count
         # Iterations a flatten forced beyond what the tuner asked for.
         if cfg.parallel > proposed.parallel:
             flatten_unroll += (math.log2(max(1, cfg.parallel))
@@ -212,12 +151,12 @@ def extract_features(kernel, config: DesignConfig,
 
     # Largest lane product along any root-to-leaf path: the PE count the
     # duplicated datapath would need.
-    def path_lanes(info: LoopInfo) -> float:
+    def path_lanes(info: LoopFacts) -> float:
         own = math.log2(max(1, effective.loop(info.label).parallel))
         return own + max((path_lanes(c) for c in info.children),
                          default=0.0)
 
-    log_lanes = max((path_lanes(r) for r in profile.roots), default=0.0)
+    log_lanes = max((path_lanes(r) for r in analysis.roots), default=0.0)
     lanes = 2.0 ** log_lanes
 
     weighted_ops = 2.0 ** values["k_log_ops"] - 1.0

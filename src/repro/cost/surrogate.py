@@ -25,11 +25,7 @@ from ..hls.estimator import ESTIMATOR_VERSION
 from ..merlin.config import DesignConfig
 from ..obs.span import NULL_TRACER
 from .base import CostModel, QoR
-from .features import (
-    FEATURE_SCHEMA_VERSION,
-    extract_features,
-    profile_kernel,
-)
+from .features import FEATURE_SCHEMA_VERSION, extract_features
 from .models import load_model
 
 #: Virtual minutes one surrogate prediction charges to the clock.  Same
@@ -66,7 +62,6 @@ class SurrogateCostModel(CostModel):
         self.fidelity = dict(fidelity or {})
         self.trained_on = dict(trained_on or {})
         self.name = f"surrogate:{model.kind}"
-        self._profiles: dict[int, object] = {}
         self._identity: Optional[str] = None
 
     # ------------------------------------------------------------------
@@ -81,17 +76,9 @@ class SurrogateCostModel(CostModel):
                               f":fs{FEATURE_SCHEMA_VERSION}:{digest}")
         return self._identity
 
-    def _profile(self, kernel):
-        profile = self._profiles.get(id(kernel))
-        if profile is None:
-            profile = profile_kernel(kernel)
-            self._profiles[id(kernel)] = profile
-        return profile
-
     def score(self, kernel, config: DesignConfig,
               device: Device = VU9P, *, tracer=NULL_TRACER) -> QoR:
-        features = extract_features(kernel, config, device,
-                                    profile=self._profile(kernel))
+        features = extract_features(kernel, config, device)
         predicted = self.model.predict_one(features.as_list())
         feasible = (self.infeasible_cutoff is None
                     or predicted < self.infeasible_cutoff)

@@ -25,7 +25,6 @@ from typing import Optional
 
 from ..config import DatasetConfig
 from ..cost import FEATURE_SCHEMA_VERSION, extract_features
-from ..cost.features import profile_kernel
 from ..dse.cache import CacheStore, canonical_key
 from ..dse.parallel import ParallelEvaluator
 from ..dse.space import build_space
@@ -122,8 +121,7 @@ def build_dataset(cfg: DatasetConfig, *, device: Device = VU9P,
                 report.failed_kernels.append((name, str(compiled)))
                 continue
             report.kernels += 1
-            space = build_space(compiled)
-            profile = profile_kernel(compiled.kernel)
+            space = build_space(compiled, tracer=tracer)
             rng = random.Random(f"s2fa-dataset:{cfg.seed}:{name}")
             points = sample_points(space, rng, cfg.configs)
             with ParallelEvaluator(compiled, device, store=store,
@@ -141,8 +139,7 @@ def build_dataset(cfg: DatasetConfig, *, device: Device = VU9P,
             for point, evaluation in zip(todo, evaluations):
                 result = evaluation.result
                 features = extract_features(
-                    compiled.kernel, DesignConfig.from_point(point),
-                    device, profile=profile)
+                    compiled.kernel, DesignConfig.from_point(point), device)
                 writer.write(DatasetRecord(
                     kernel=name,
                     digest=digest,

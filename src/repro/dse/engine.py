@@ -37,6 +37,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -164,7 +165,12 @@ class S2FAEngine:
         self.prune_fraction = prune_fraction
         self.tracer = tracer
         self._stop_requested = False
-        self._chaos = ChaosKill(self.request_stop)
+        # Weakly bound: a bound method stored on its own object is a
+        # reference cycle, and the engine — with its evaluator, the
+        # kernel and every cached evaluation — would wait for a full gc
+        # pass instead of being freed when the exploration returns.
+        stop = weakref.WeakMethod(self.request_stop)
+        self._chaos = ChaosKill(lambda: stop()())
 
     # ------------------------------------------------------------------
 

@@ -24,8 +24,9 @@ from typing import Optional
 
 from ..compiler.driver import CompiledKernel
 from ..errors import DSEError
-from ..hlsc.analysis import flatten_loop_tree, kernel_loop_tree
+from ..hls.analysis import analyze
 from ..merlin.config import DesignConfig
+from ..obs.span import NULL_TRACER
 from ..utils import pow2_range
 
 MAX_PARALLEL = 256
@@ -138,12 +139,15 @@ class DesignSpace:
         return projected
 
 
-def build_space(compiled: CompiledKernel) -> DesignSpace:
-    """Identify the Table 1 design space of a compiled kernel."""
-    roots = kernel_loop_tree(compiled.kernel)
-    loops = flatten_loop_tree(roots)
+def build_space(compiled: CompiledKernel, *,
+                tracer=NULL_TRACER) -> DesignSpace:
+    """Identify the Table 1 design space of a compiled kernel.
+
+    Usually the first reader of the kernel's analysis, hence ``tracer``:
+    the ``hls.analyze`` span lands here, not under the first estimate.
+    """
     parameters: list[Parameter] = []
-    for info in loops:
+    for info in analyze(compiled.kernel, tracer=tracer).loops:
         trip = info.trip_count or compiled.batch_size
         tiles = tuple(pow2_range(1, max(1, trip)))
         parallels = tuple(pow2_range(1, max(1, min(trip, MAX_PARALLEL))))

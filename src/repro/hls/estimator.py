@@ -20,6 +20,11 @@ is deliberately structured around the effects the paper's DSE exploits:
 * tiling the task loop enables double buffering, overlapping transfer
   with compute.
 
+What depends on the kernel alone (op mixes priced through the operator
+table, recurrences, touched ports and buffers) is derived once per kernel
+by :mod:`repro.hls.analysis`; this module is the per-point half —
+arithmetic over those records and the effective config.
+
 Each evaluation also charges *synthesis minutes* on the DSE's virtual
 clock (Impediment 1: "HLS takes several minutes to evaluate one design
 point"), and a small deterministic config-keyed perturbation keeps the
@@ -32,13 +37,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..hlsc.analysis import LoopInfo, kernel_loop_tree, local_buffers
-from ..hlsc.ast import CKernel, Param
-from ..merlin.config import DesignConfig, LoopConfig
+from ..hlsc.ast import CKernel
+from ..merlin.config import DesignConfig
 from ..obs.span import NULL_TRACER
 from ..utils import clamp, stable_unit
+from .analysis import BRAM_BLOCK_BITS, KernelAnalysis, LoopFacts, analyze
 from .device import Device, VU9P
-from .optable import DEFAULT_ILP, LOOP_OVERHEAD, OP_COSTS, PIPELINE_FILL
+from .optable import LOOP_OVERHEAD, OP_COSTS, PIPELINE_FILL
 from .result import HLSResult, LoopReport, Resources
 
 #: Version of the analytical model itself.  Bump whenever a change makes
@@ -55,9 +60,6 @@ _BASE_BRAM_BLOCKS = 64
 
 #: Routing wall: total PE product beyond which complex kernels fail.
 _ROUTING_PE_LIMIT = 128
-#: A kernel is "simple" (can escape the routing wall) when its distinct
-#: compute-op categories are at most this many.
-_SIMPLE_OP_KINDS = 2
 
 
 @dataclass
@@ -71,12 +73,10 @@ class _LoopOutcome:
 @dataclass
 class _Context:
     device: Device
-    config: DesignConfig
+    config: DesignConfig            # the *effective* config
     bitwidths: dict[str, int]
-    interface: dict[str, Param]
     bytes_per_task: int = 0
     reports: list[LoopReport] = field(default_factory=list)
-    pe_product: int = 1
     flatten_carried_dep: bool = False
 
 
@@ -89,56 +89,14 @@ def _task_stream_ii(ctx: _Context, parallel: int) -> int:
     return max(1, math.ceil(ctx.bytes_per_task * parallel / port_bytes))
 
 
-def _body_latency(info: LoopInfo) -> int:
-    """Latency of one iteration's straight-line ops (children excluded)."""
-    total = 0.0
-    for category, count in info.body_ops.counts.items():
-        total += OP_COSTS[category].latency * count
-    return max(1, math.ceil(total / DEFAULT_ILP))
+def _port_bytes(info: LoopFacts, ctx: _Context) -> int:
+    """Bytes per cycle of the narrowest interface port the body touches."""
+    return max(1, min(ctx.bitwidths.get(name, 32)
+                      for name in info.ports) // 8)
 
 
-def _recurrence_latency(info: LoopInfo) -> int:
-    """Cycles of the loop-carried chain, when one exists."""
-    if info.carried_array_dep or info.carried_scalar_dep:
-        # Approximate the serial chain as a bit over half the body.
-        return max(2, math.ceil(_body_latency(info) * 0.6))
-    if info.is_reduction:
-        total = sum(OP_COSTS[c].latency * n
-                    for c, n in info.recurrence_ops.counts.items())
-        return max(1, total)
-    return 0
-
-
-def _body_resources(info: LoopInfo, lanes: int) -> Resources:
-    res = Resources()
-    for category, count in info.body_ops.counts.items():
-        cost = OP_COSTS[category]
-        res.add(lut=cost.lut * count * lanes,
-                ff=cost.ff * count * lanes,
-                dsp=cost.dsp * count * lanes)
-    return res
-
-
-def _interface_access_bytes(info: LoopInfo,
-                            interface: dict[str, Param]) -> int:
-    """Bytes of interface traffic per iteration of this loop's body."""
-    total = 0
-    loads = info.body_ops.get("load")
-    stores = info.body_ops.get("store")
-    touched = [name for name in (info.arrays_read | info.arrays_written)
-               if name in interface]
-    if not touched:
-        return 0
-    # Approximate: accesses are spread over the touched interface buffers.
-    per_buffer = max(1, (loads + stores) // max(1, len(touched)))
-    for name in touched:
-        width = interface[name].ctype.width_bits // 8
-        total += per_buffer * width
-    return total
-
-
-def _schedule(info: LoopInfo, ctx: _Context, flattened: bool) -> _LoopOutcome:
-    cfg: LoopConfig = ctx.config.loop(info.label)
+def _schedule(info: LoopFacts, ctx: _Context, flattened: bool) -> _LoopOutcome:
+    cfg = ctx.config.loop(info.label)
     trip = info.trip_count if info.trip_count is not None else 64
     parallel = max(1, min(cfg.parallel, trip))
     pipeline = cfg.pipeline
@@ -153,11 +111,12 @@ def _schedule(info: LoopInfo, ctx: _Context, flattened: bool) -> _LoopOutcome:
     ]
     child_latency = sum(c.latency for c in children)
     child_fspec = any(c.contains_fspec for c in children)
-    body_lat = _body_latency(info)
-    contains_fspec = bool(info.body_ops.get("fspec")) or child_fspec
-    recurrence = _recurrence_latency(info)
+    body_lat = info.body_latency
+    contains_fspec = info.has_fspec or child_fspec
+    recurrence = info.recurrence_latency
 
-    resources = _body_resources(info, parallel)
+    resources = Resources(lut=info.lut * parallel, ff=info.ff * parallel,
+                          dsp=info.dsp * parallel)
     for child in children:
         # Children replicated once per parallel lane of this loop.
         resources.add(lut=child.resources.lut * parallel,
@@ -165,7 +124,7 @@ def _schedule(info: LoopInfo, ctx: _Context, flattened: bool) -> _LoopOutcome:
                       dsp=child.resources.dsp * parallel,
                       bram=child.resources.bram * parallel)
 
-    dependence_bound = info.carried_array_dep or info.carried_scalar_dep
+    dependence_bound = info.dependence_bound
     if dependence_bound:
         # Parallel lanes cannot help a serial chain; hardware is
         # replicated but iterations stay sequential.
@@ -221,14 +180,9 @@ def _schedule(info: LoopInfo, ctx: _Context, flattened: bool) -> _LoopOutcome:
             ii = max(ii, OP_COSTS["fspec"].latency)
         elif contains_fspec:
             ii = max(ii, 2)
-        bytes_per_iter = _interface_access_bytes(info, ctx.interface)
-        if bytes_per_iter:
-            widths = [ctx.bitwidths.get(name, 32)
-                      for name in (info.arrays_read | info.arrays_written)
-                      if name in ctx.interface]
-            port_bytes = max(1, min(widths) // 8) if widths else 4
+        if info.interface_bytes:
             ii = max(ii, math.ceil(
-                (bytes_per_iter * parallel) / port_bytes))
+                (info.interface_bytes * parallel) / _port_bytes(info, ctx)))
         if info.is_task_loop:
             ii = max(ii, _task_stream_ii(ctx, parallel))
         latency = PIPELINE_FILL + body_lat + ii * (iterations - 1) + epilogue
@@ -261,13 +215,9 @@ def _schedule(info: LoopInfo, ctx: _Context, flattened: bool) -> _LoopOutcome:
             ctx.flatten_carried_dep = True
         if contains_fspec and not ctx.config.stage_split:
             ii = max(ii, OP_COSTS["fspec"].latency)
-        bytes_per_iter = _interface_access_bytes(info, ctx.interface)
-        if bytes_per_iter:
-            widths = [ctx.bitwidths.get(name, 32)
-                      for name in (info.arrays_read | info.arrays_written)
-                      if name in ctx.interface]
-            port_bytes = max(1, min(widths) // 8) if widths else 8
-            ii = max(ii, math.ceil(bytes_per_iter * parallel / port_bytes))
+        if info.interface_bytes:
+            ii = max(ii, math.ceil(
+                info.interface_bytes * parallel / _port_bytes(info, ctx)))
         if info.is_task_loop:
             ii = max(ii, _task_stream_ii(ctx, parallel))
         latency = PIPELINE_FILL + flat_body + ii * (iterations - 1)
@@ -324,38 +274,33 @@ def _schedule(info: LoopInfo, ctx: _Context, flattened: bool) -> _LoopOutcome:
                         recurrence_latency=0)
 
 
-def _bram_usage(kernel: CKernel, ctx: _Context, task_tile: int) -> int:
+def _bram_usage(analysis: KernelAnalysis, ctx: _Context,
+                task_tile: int) -> int:
     """BRAM blocks: local arrays (partitioned) + interface staging."""
     blocks = _BASE_BRAM_BLOCKS
     # Local arrays, replicated per parallel lane of loops touching them.
     lane_scale: dict[str, int] = {}
 
-    def scan(info: LoopInfo, scale: int) -> None:
+    def scan(info: LoopFacts, scale: int) -> None:
         cfg = ctx.config.loop(info.label)
         trip = info.trip_count or 64
         lanes = scale * max(1, min(cfg.parallel, trip))
-        for name in info.arrays_read | info.arrays_written:
+        for name in info.local_arrays:
             lane_scale[name] = max(lane_scale.get(name, 1), lanes)
         for child in info.children:
             scan(child, lanes)
 
-    for root in kernel_loop_tree(kernel):
+    for root in analysis.roots:
         scan(root, 1)
 
-    for func in kernel.functions:
-        for decl in local_buffers(func):
-            bits = decl.element_count * decl.ctype.width_bits
-            banks = max(1, math.ceil(bits / 18432))
-            partition = min(lane_scale.get(decl.name, 1),
-                            decl.element_count)
-            blocks += banks * partition
+    for buffer in analysis.local_buffers:
+        partition = min(lane_scale.get(buffer.name, 1),
+                        buffer.element_count)
+        blocks += buffer.banks * partition
     # Interface staging buffers: tile_factor tasks double-buffered.
-    for name, parameter in ctx.interface.items():
-        if parameter.elem_count is None:
-            continue
-        bits = (parameter.elem_count * parameter.ctype.width_bits
-                * max(1, task_tile))
-        blocks += 2 * max(1, math.ceil(bits / 18432))
+    for bits in analysis.staging_bits:
+        blocks += 2 * max(1, math.ceil(
+            bits * max(1, task_tile) / BRAM_BLOCK_BITS))
     return blocks
 
 
@@ -364,12 +309,16 @@ def estimate(kernel: CKernel, config: DesignConfig,
              tracer=NULL_TRACER) -> HLSResult:
     """Estimate one design point; never raises for infeasible designs.
 
-    ``tracer`` (a :mod:`repro.obs` tracer) records one ``hls.estimate``
-    span per call, attributed with feasibility, cycles, clock, and the
-    synthesis minutes the evaluation charges to the DSE virtual clock.
+    The kernel is analysed on its first estimate
+    (:func:`repro.hls.analysis.analyze`, one ``hls.analyze`` span) and
+    every later point is arithmetic over that analysis.  ``tracer`` (a
+    :mod:`repro.obs` tracer) records one ``hls.estimate`` span per call,
+    attributed with feasibility, cycles, clock, and the synthesis minutes
+    the evaluation charges to the DSE virtual clock.
     """
+    analysis = analyze(kernel, tracer=tracer)
     with tracer.span("hls.estimate") as span:
-        result = _estimate_model(kernel, config, device)
+        result = _estimate_model(analysis, config, device)
         span.set(feasible=result.feasible, cycles=result.cycles,
                  freq_mhz=result.freq_mhz,
                  vclock_minutes=result.synthesis_minutes)
@@ -381,17 +330,14 @@ def estimate(kernel: CKernel, config: DesignConfig,
     return result
 
 
-def _estimate_model(kernel: CKernel, config: DesignConfig,
-                    device: Device = VU9P) -> HLSResult:
-    """The analytical model behind :func:`estimate` (untraced)."""
-    roots = kernel_loop_tree(kernel)
+def _estimate_model(analysis: KernelAnalysis, config: DesignConfig,
+                    device: Device) -> HLSResult:
+    """The per-point half of the model: arithmetic over the analysis."""
+    roots = analysis.roots
     effective = config.effective(roots)
-    interface = {p.name: p for p in kernel.top_function.params
-                 if p.is_pointer}
-    bytes_per_task = (kernel.metadata.get("bytes_in_per_task", 0)
-                      + kernel.metadata.get("bytes_out_per_task", 0))
+    bytes_per_task = analysis.bytes_per_task
     ctx = _Context(device=device, config=effective,
-                   bitwidths=dict(config.bitwidths), interface=interface,
+                   bitwidths=dict(config.bitwidths),
                    bytes_per_task=bytes_per_task)
 
     outcomes = [_schedule(root, ctx, flattened=False) for root in roots]
@@ -404,19 +350,17 @@ def _estimate_model(kernel: CKernel, config: DesignConfig,
         resources.merge(o.resources)
 
     # Memory transfer: batch bytes over the configured port widths.
-    batch = kernel.metadata.get("batch_size", 1024)
-    total_bytes = bytes_per_task * batch
+    total_bytes = bytes_per_task * analysis.batch_size
     port_widths = [config.bitwidths.get(name, 32)
-                   for name in interface] or [32]
+                   for name in analysis.ports] or [32]
     per_port_bytes = sum(w // 8 for w in port_widths)
     effective_bytes_per_cycle = min(per_port_bytes,
                                     device.mem_bytes_per_cycle)
     memory_cycles = math.ceil(total_bytes /
                               max(1, effective_bytes_per_cycle))
 
-    task_labels = [root.label for root in roots if root.is_task_loop] \
-        or [roots[0].label if roots else "L0"]
-    task_cfg = effective.loop(task_labels[0]) if task_labels else LoopConfig()
+    task_labels = analysis.task_labels
+    task_cfg = effective.loop(task_labels[0])
     if task_cfg.tile > 1:
         # Double buffering overlaps transfer with compute.
         cycles = max(compute_cycles, memory_cycles) + \
@@ -427,21 +371,15 @@ def _estimate_model(kernel: CKernel, config: DesignConfig,
     # widening compute would not help (the AES/PR situation in Table 2).
     memory_bound = memory_cycles * 1.25 >= compute_cycles
 
-    resources.bram = _bram_usage(kernel, ctx, task_cfg.tile)
+    resources.bram = _bram_usage(analysis, ctx, task_cfg.tile)
 
     # PE product for routing pressure.
-    def pe_product(info: LoopInfo) -> int:
+    def pe_product(info: LoopFacts) -> int:
         cfg = effective.loop(info.label)
         own = max(1, cfg.parallel)
         return own * max([pe_product(c) for c in info.children] or [1])
 
     pes = max((pe_product(root) for root in roots), default=1)
-    all_kinds = {kind for root in roots
-                 for info in root.self_and_descendants()
-                 for kind in info.body_ops.counts}
-    compute_kinds = [kind for kind in all_kinds
-                     if kind not in ("load", "store")]
-    is_simple = len(compute_kinds) <= _SIMPLE_OP_KINDS
 
     utilization = {
         "lut": resources.lut / device.usable("lut"),
@@ -457,7 +395,8 @@ def _estimate_model(kernel: CKernel, config: DesignConfig,
                 f"{kind.upper()} over budget: {frac * 100:.0f}% of the "
                 f"75% usable envelope")
             break
-    if not infeasible_reason and pes > _ROUTING_PE_LIMIT and not is_simple:
+    if not infeasible_reason and pes > _ROUTING_PE_LIMIT \
+            and not analysis.is_simple:
         infeasible_reason = (
             f"routing failure: {pes} parallel PEs with a complex "
             f"computational pattern")
@@ -470,23 +409,21 @@ def _estimate_model(kernel: CKernel, config: DesignConfig,
     freq -= math.log2(pes + 1) * 3
     if ctx.flatten_carried_dep:
         freq -= 60  # long wavefront wiring (the S-W case in Table 2)
-    jitter = (stable_unit("freq", kernel.metadata.get("class_name", ""),
-                          tuple(sorted(config.to_point().items()))) - 0.5)
+    # Every deterministic perturbation is keyed by (kernel class, point).
+    noise_key = (analysis.class_name,
+                 tuple(sorted(config.to_point().items())))
+    jitter = stable_unit("freq", *noise_key) - 0.5
     freq += jitter * 10
     freq = clamp(round(freq / 10) * 10, 100, device.target_mhz)
 
     # Deterministic landscape ruggedness on cycles.
-    rug = 1.0 + 0.08 * (stable_unit(
-        "cycles", kernel.metadata.get("class_name", ""),
-        tuple(sorted(config.to_point().items()))) - 0.5)
+    rug = 1.0 + 0.08 * (stable_unit("cycles", *noise_key) - 0.5)
     cycles = int(cycles * rug)
 
     # Synthesis cost on the virtual clock (minutes to ~an hour, worse for
     # larger designs — Impediment 1).
     synth = 1.5 + 5.5 * min(1.0, util_max) + 0.006 * pes
-    synth *= 1.0 + 0.5 * (stable_unit(
-        "synth", kernel.metadata.get("class_name", ""),
-        tuple(sorted(config.to_point().items()))) - 0.5)
+    synth *= 1.0 + 0.5 * (stable_unit("synth", *noise_key) - 0.5)
     synth = clamp(synth, 1.5, 10.0)
 
     top_ii = next((r.ii for r in ctx.reports

@@ -7,8 +7,9 @@ Here the same facts are derived directly from the HLS-C AST.
 
 The resulting :class:`LoopInfo` tree is consumed by:
 
-* ``repro.dse.space`` — to enumerate the Table 1 factors per loop,
-* ``repro.hls.scheduler`` — to compute latency/II bottom-up,
+* ``repro.hls.analysis`` — once per kernel, to distil the compact records
+  the estimator, the feature extractor and the design-space builder
+  share (nothing else should walk a kernel per design point),
 * ``repro.merlin`` — to validate transform legality.
 """
 

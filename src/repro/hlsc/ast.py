@@ -397,6 +397,15 @@ class CKernel:
     functions: list[CFunction] = field(default_factory=list)
     top: str = "kernel"
     metadata: dict = field(default_factory=dict)
+    #: Memo slot of :func:`repro.hls.analysis.analyze`: what the estimator
+    #: derived from this exact tree.  It belongs to this object alone and
+    #: dies with it — copies and pickles start without one, because a
+    #: ``clone()`` exists to be transformed.
+    analysis: object = field(default=None, init=False, repr=False,
+                             compare=False)
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "analysis": None}
 
     def clone(self) -> "CKernel":
         return copy.deepcopy(self)

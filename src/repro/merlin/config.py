@@ -42,6 +42,10 @@ class LoopConfig:
                 f"tile={self.tile} parallel={self.parallel}")
 
 
+#: What an unconfigured loop gets (immutable, so one instance serves all).
+_DEFAULT_LOOP = LoopConfig()
+
+
 @dataclass
 class DesignConfig:
     """A complete design point in structured form."""
@@ -53,7 +57,7 @@ class DesignConfig:
     stage_split: bool = False
 
     def loop(self, label: str) -> LoopConfig:
-        return self.loops.get(label, LoopConfig())
+        return self.loops.get(label, _DEFAULT_LOOP)
 
     def bitwidth(self, buffer: str, default: int = 32) -> int:
         return self.bitwidths.get(buffer, default)
@@ -103,6 +107,9 @@ class DesignConfig:
     def effective(self, roots: Iterable[LoopInfo]) -> "DesignConfig":
         """Resolve factor dependencies against a loop tree.
 
+        ``roots`` is any tree of nodes with ``label``, ``trip_count`` and
+        ``children`` — the AST-level :class:`LoopInfo` or the per-kernel
+        :class:`~repro.hls.analysis.LoopFacts`.
         Under a ``flatten`` pipeline, every descendant loop is fully
         unrolled: its configured factors are replaced by
         ``parallel=trip_count, pipeline=off, tile=1``.  Loops whose

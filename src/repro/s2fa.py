@@ -319,7 +319,7 @@ class S2FASession:
                 layout_config=layout_config, pattern=pattern,
                 batch_size=batch_size)
             span.set(accel=compiled.accel_id)
-            space = build_space(compiled)
+            space = build_space(compiled, tracer=self.tracer)
             # Checkpointing implies a persistent cache (in the checkpoint
             # directory unless one is named): resuming replays the killed
             # batch's already-estimated points as store hits, which is

@@ -71,6 +71,30 @@ class TestSurrogate:
         assert qor.minutes == SURROGATE_MINUTES
         assert qor.source == surrogate.identity()
 
+    def test_long_lived_model_outlives_its_kernels(self):
+        # A serving or dataset-building process scores kernel after
+        # kernel with one model.  Each clone below dies before the next
+        # is made, so CPython hands the next one the same address: a
+        # per-kernel memo keyed by id() would score it with the dead
+        # kernel's analysis.
+        cases = []
+        for name in ("KMeans", "LR", "AES", "S-W"):
+            compiled = get_app(name).compile()
+            config = DesignConfig.from_point(
+                build_space(compiled).default_point())
+            want = _toy_surrogate().score(compiled.kernel.clone(), config)
+            cases.append((name, compiled.kernel, config, want.cycles))
+        surrogate = _toy_surrogate()
+        last_at: dict[int, str] = {}
+        reused = False
+        for name, original, config, want in cases * 5:
+            kernel = original.clone()
+            reused |= last_at.get(id(kernel), name) != name
+            last_at[id(kernel)] = name
+            assert surrogate.score(kernel, config).cycles == want, name
+            del kernel
+        assert reused, "no address was reused: the test lost its subject"
+
     def test_never_persistable(self):
         assert not _toy_surrogate().persistable
 

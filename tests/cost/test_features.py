@@ -11,7 +11,6 @@ from repro.cost import (
     FeatureVector,
     extract_features,
 )
-from repro.cost.features import profile_kernel
 from repro.dse.space import build_space
 from repro.errors import CostModelError
 from repro.hls.device import KC705, VU9P
@@ -62,11 +61,12 @@ class TestExtraction:
         b = extract_features(kmeans.kernel, default_config)
         assert a.values == b.values
 
-    def test_profile_reuse_matches_fresh(self, kmeans, default_config):
-        profile = profile_kernel(kmeans.kernel)
-        a = extract_features(kmeans.kernel, default_config,
-                             profile=profile)
-        b = extract_features(kmeans.kernel, default_config)
+    def test_analysis_reuse_matches_fresh(self, kmeans, default_config):
+        a = extract_features(kmeans.kernel, default_config)
+        assert kmeans.kernel.analysis is not None
+        fresh = kmeans.kernel.clone()
+        assert fresh.analysis is None
+        b = extract_features(fresh, default_config)
         assert a.values == b.values
 
     def test_device_moves_only_device_features(self, kmeans,
