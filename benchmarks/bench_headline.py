@@ -80,6 +80,5 @@ def test_headline_claims(benchmark):
         name: (value if math.isfinite(value) else None)
         for name, value in speedups.items()}
     benchmark.extra_info["evaluation"] = {
-        key: stats[key] for key in ("jobs", "estimates", "memory_hits",
-                                    "store_hits", "hit_rate",
-                                    "worker_failures")}
+        key: stats[key] for key in ("estimates", "memory_hits",
+                                    "store_hits", "hit_rate")}

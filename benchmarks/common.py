@@ -4,18 +4,14 @@ Everything expensive (kernel compilation, DSE runs, JVM baseline timing)
 is cached per (app, seed) so the Table 2 / Fig. 3 / Fig. 4 benches can
 share results instead of re-exploring.
 
-Two environment knobs (also settable as ``--jobs`` / ``--cache-dir``
-pytest options, see ``conftest.py``) control the evaluation backend
-without touching the science:
-
-* ``S2FA_JOBS`` — process-pool width for HLS estimation (default 1);
-* ``S2FA_CACHE_DIR`` — persistent evaluation cache directory, so a
-  second benchmark run skips re-estimation entirely.
+One environment knob (also settable as the ``--cache-dir`` pytest
+option, see ``conftest.py``) controls the evaluation backend without
+touching the science: ``S2FA_CACHE_DIR`` names a persistent evaluation
+cache directory, so a second benchmark run skips re-estimation entirely.
 """
 
 from __future__ import annotations
 
-import atexit
 import os
 from functools import lru_cache
 
@@ -24,8 +20,8 @@ from repro.blaze.runtime import _JVMTaskRunner
 from repro.dse import (
     CacheStore,
     DSERun,
+    Evaluator,
     OpenTunerRuntime,
-    ParallelEvaluator,
     S2FAEngine,
     build_space,
 )
@@ -42,12 +38,8 @@ DEFAULT_SEED = 1
 
 APP_NAMES = [spec.name for spec in ALL_APPS]
 
-#: Every evaluator built this process (for pool shutdown + stats).
-EVALUATORS: list[ParallelEvaluator] = []
-
-
-def dse_jobs() -> int:
-    return max(1, int(os.environ.get("S2FA_JOBS", "1") or "1"))
+#: Every evaluator built this process (for the aggregate stats).
+EVALUATORS: list[Evaluator] = []
 
 
 @lru_cache(maxsize=None)
@@ -56,36 +48,26 @@ def cache_store() -> CacheStore | None:
     return CacheStore(directory) if directory else None
 
 
-def make_evaluator(name: str,
-                   frequency_aware: bool = True) -> ParallelEvaluator:
-    """Evaluation backend honouring ``S2FA_JOBS``/``S2FA_CACHE_DIR``."""
-    evaluator = ParallelEvaluator(compiled(name), store=cache_store(),
-                                  frequency_aware=frequency_aware,
-                                  jobs=dse_jobs())
+def make_evaluator(name: str, frequency_aware: bool = True) -> Evaluator:
+    """Evaluation backend honouring ``S2FA_CACHE_DIR``."""
+    evaluator = Evaluator(compiled(name), store=cache_store(),
+                          frequency_aware=frequency_aware)
     EVALUATORS.append(evaluator)
     return evaluator
 
 
-@atexit.register
-def _close_evaluators() -> None:
-    for evaluator in EVALUATORS:
-        evaluator.close()
-
-
 def aggregate_stats() -> dict:
     """Sum of the per-run backend stats (for the bench reports)."""
-    total = {"jobs": dse_jobs(), "unique_points": 0, "estimates": 0,
-             "memory_hits": 0, "store_hits": 0, "batches": 0,
-             "mean_batch": 0.0, "max_batch": 0, "worker_failures": 0,
-             "degraded": False, "hit_rate": 0.0}
+    total = {"unique_points": 0, "estimates": 0, "memory_hits": 0,
+             "store_hits": 0, "batches": 0, "mean_batch": 0.0,
+             "max_batch": 0, "hit_rate": 0.0}
     points = 0
     for evaluator in EVALUATORS:
         stats = evaluator.stats()
         for key in ("unique_points", "estimates", "memory_hits",
-                    "store_hits", "batches", "worker_failures"):
+                    "store_hits", "batches"):
             total[key] += stats[key]
         total["max_batch"] = max(total["max_batch"], stats["max_batch"])
-        total["degraded"] = total["degraded"] or stats["degraded"]
         points += stats["batches"] * stats["mean_batch"]
     if total["batches"]:
         total["mean_batch"] = points / total["batches"]

@@ -1,11 +1,9 @@
-"""Benchmark-harness options for the evaluation backend.
+"""Benchmark-harness option for the evaluation backend.
 
-``--jobs N`` fans HLS estimation out over a process pool of N workers;
 ``--cache-dir DIR`` persists every estimate to DIR so a second benchmark
-run against the same cache skips re-estimation.  Both are forwarded to
-``common.make_evaluator`` through environment variables so the
-``lru_cache``-memoized helpers observe them before any evaluator is
-built.
+run against the same cache skips re-estimation.  It is forwarded to
+``common.make_evaluator`` through ``S2FA_CACHE_DIR`` so the
+``lru_cache``-memoized helpers observe it before any evaluator is built.
 """
 
 from __future__ import annotations
@@ -21,18 +19,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 def pytest_addoption(parser):
     group = parser.getgroup("s2fa")
     group.addoption(
-        "--jobs", type=int, default=None, metavar="N",
-        help="process-pool width for HLS estimation "
-             "(results are identical at any value)")
-    group.addoption(
         "--cache-dir", default=None, metavar="DIR",
         help="persistent evaluation cache directory")
 
 
 def pytest_configure(config):
-    jobs = config.getoption("--jobs", default=None)
     cache_dir = config.getoption("--cache-dir", default=None)
-    if jobs is not None:
-        os.environ["S2FA_JOBS"] = str(jobs)
     if cache_dir is not None:
         os.environ["S2FA_CACHE_DIR"] = cache_dir

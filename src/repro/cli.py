@@ -158,7 +158,6 @@ def _explore_config(args: argparse.Namespace):
     return ExploreConfig(
         seed=getattr(args, "seed", 0),
         time_limit_minutes=getattr(args, "time_limit", 240.0),
-        jobs=getattr(args, "jobs", 1),
         cache_dir=getattr(args, "cache_dir", None),
         checkpoint_dir=getattr(args, "checkpoint_dir", None),
         resume=bool(getattr(args, "resume", False)),
@@ -176,7 +175,6 @@ def _dataset_config(args: argparse.Namespace):
         kernels=getattr(args, "kernels", 4),
         configs=getattr(args, "configs", 64),
         apps=not getattr(args, "no_apps", False),
-        jobs=getattr(args, "jobs", 1),
         cache_dir=getattr(args, "cache_dir", None),
         resume=bool(getattr(args, "resume", False)))
 
@@ -731,10 +729,6 @@ def build_parser() -> argparse.ArgumentParser:
     explore_p.add_argument("--seed", type=int, default=0)
     explore_p.add_argument("--time-limit", type=float, default=240.0,
                            help="virtual minutes (default 240)")
-    explore_p.add_argument("--jobs", type=int, default=1,
-                           help="process-pool width for HLS estimation "
-                                "(results are identical at any value; "
-                                "default 1)")
     explore_p.add_argument("--cache-dir", metavar="DIR",
                            help="persistent evaluation cache directory "
                                 "(repeated runs skip re-estimation)")
@@ -756,8 +750,6 @@ def build_parser() -> argparse.ArgumentParser:
     dse_p.add_argument("--seed", type=int, default=0)
     dse_p.add_argument("--time-limit", type=float, default=240.0,
                        help="virtual minutes (default 240)")
-    dse_p.add_argument("--jobs", type=int, default=1,
-                       help="process-pool width for HLS estimation")
     dse_p.add_argument("--cache-dir", metavar="DIR",
                        help="persistent evaluation cache directory")
     _add_device_flag(dse_p)
@@ -979,8 +971,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "(default 64)")
     ds_build.add_argument("--no-apps", action="store_true",
                           help="skip the built-in application suite")
-    ds_build.add_argument("--jobs", type=int, default=1,
-                          help="process-pool width for HLS estimation")
     ds_build.add_argument("--cache-dir", metavar="DIR",
                           help="persistent evaluation cache directory")
     ds_build.add_argument("--resume", action="store_true",

@@ -1,13 +1,13 @@
 """Frozen run-configuration dataclasses for the S2FA facade and CLI.
 
 Before the :class:`~repro.s2fa.S2FASession` redesign, every entry point
-grew its own ad-hoc keyword arguments (``jobs``, ``cache_dir``,
+grew its own ad-hoc keyword arguments (``cache_dir``,
 ``fault_plan``, ``fault_seed``, deadline/backoff knobs, ...).  These two
 immutable dataclasses are now the single home for those knobs:
 
 * :class:`ExploreConfig` — everything the compile + DSE half of the
-  pipeline needs (seed, virtual time limit, tuner workers, process-pool
-  width, persistent cache directory);
+  pipeline needs (seed, virtual time limit, tuner workers, persistent
+  cache directory);
 * :class:`RuntimeConfig` — everything the Spark + Blaze half needs
   (partitions, fault schedule, offload deadlines/backoff/quarantine).
 
@@ -35,10 +35,8 @@ from .errors import (
 class ExploreConfig:
     """Knobs of ``session.explore`` (compile + design space exploration).
 
-    ``jobs`` sets the real process-pool width used for HLS estimation
-    (virtual-clock results are identical at any value); ``cache_dir``
-    enables the persistent evaluation cache so repeated explorations of
-    the same kernel skip re-estimation.
+    ``cache_dir`` enables the persistent evaluation cache so repeated
+    explorations of the same kernel skip re-estimation.
     """
 
     #: Tuner RNG seed (the whole exploration is deterministic in it).
@@ -47,8 +45,6 @@ class ExploreConfig:
     time_limit_minutes: float = 240.0
     #: Virtual DSE workers (the paper's eight-core machine).
     workers: int = 8
-    #: Real process-pool width for HLS estimation.
-    jobs: int = 1
     #: Persistent evaluation cache directory (``None`` disables).
     cache_dir: Optional[str] = None
     #: Decision-tree partition budget (Section 4.3.1).
@@ -76,8 +72,6 @@ class ExploreConfig:
 
     def __post_init__(self) -> None:
         self.resolve_device()           # fail on a bad name eagerly
-        if self.jobs < 1:
-            raise DSEError(f"jobs must be >= 1, got {self.jobs}")
         if not 0.0 <= self.prune_fraction < 1.0:
             raise DSEError("prune_fraction must be in [0, 1), got "
                            f"{self.prune_fraction}")
@@ -128,8 +122,6 @@ class DatasetConfig:
     configs: int = 64
     #: Include the built-in application suite kernels.
     apps: bool = True
-    #: Real process-pool width for HLS estimation.
-    jobs: int = 1
     #: Persistent evaluation cache directory (``None`` disables).
     cache_dir: Optional[str] = None
     #: Keep existing records in ``out`` and continue after them.
@@ -144,8 +136,6 @@ class DatasetConfig:
         if self.configs < 1:
             raise DatasetError(
                 f"configs must be >= 1, got {self.configs}")
-        if self.jobs < 1:
-            raise DatasetError(f"jobs must be >= 1, got {self.jobs}")
         if not self.apps and self.kernels == 0:
             raise DatasetError(
                 "nothing to sweep: apps=False and kernels=0")

@@ -105,9 +105,9 @@ class CostModel:
         """Score one flat point, converting exceptions to infeasible QoRs.
 
         The exception firewall: a model bug degrades a single point
-        identically at any ``--jobs`` instead of crashing the
-        exploration.  Failure QoRs carry the ``evaluation error`` reason
-        prefix so the evaluator never persists them.
+        instead of crashing the exploration.  Failure QoRs carry the
+        ``evaluation error`` reason prefix so the evaluator never
+        persists them.
         """
         from ..dse.evaluator import error_result
         try:

@@ -26,7 +26,7 @@ from typing import Optional
 from ..config import DatasetConfig
 from ..cost import FEATURE_SCHEMA_VERSION, extract_features
 from ..dse.cache import CacheStore, canonical_key
-from ..dse.parallel import ParallelEvaluator
+from ..dse.evaluator import Evaluator
 from ..dse.space import build_space
 from ..errors import S2FAError
 from ..hls.device import Device, VU9P
@@ -124,18 +124,16 @@ def build_dataset(cfg: DatasetConfig, *, device: Device = VU9P,
             space = build_space(compiled, tracer=tracer)
             rng = random.Random(f"s2fa-dataset:{cfg.seed}:{name}")
             points = sample_points(space, rng, cfg.configs)
-            with ParallelEvaluator(compiled, device, store=store,
-                                   jobs=cfg.jobs,
-                                   tracer=tracer) as evaluator:
-                digest = evaluator.kernel_digest
-                todo = []
-                for point in points:
-                    if (digest, canonical_key(point)) in existing:
-                        report.skipped_existing += 1
-                        continue
-                    todo.append(point)
-                evaluations = evaluator.evaluate_batch(todo) if todo \
-                    else []
+            evaluator = Evaluator(compiled, device, store=store,
+                                  tracer=tracer)
+            digest = evaluator.kernel_digest
+            todo = []
+            for point in points:
+                if (digest, canonical_key(point)) in existing:
+                    report.skipped_existing += 1
+                    continue
+                todo.append(point)
+            evaluations = evaluator.evaluate_batch(todo) if todo else []
             for point, evaluation in zip(todo, evaluations):
                 result = evaluation.result
                 features = extract_features(

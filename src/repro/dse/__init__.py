@@ -14,7 +14,6 @@ from .checkpoint import (  # noqa: F401
 )
 from .datuner import DATunerEngine  # noqa: F401
 from .engine import S2FAEngine  # noqa: F401
-from .parallel import ParallelEvaluator  # noqa: F401
 from .exhaustive import (  # noqa: F401
     ExhaustiveResult,
     enumerate_points,

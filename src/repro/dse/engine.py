@@ -15,12 +15,10 @@ Pipeline per run:
 
 Scheduling is round-based: every round, each running partition proposes
 its next candidate, the whole candidate set goes to the evaluator as one
-batch (which a :class:`~repro.dse.parallel.ParallelEvaluator` computes on
-a real process pool), and the results are merged back onto the virtual
-clock at each partition's own completion time.  Because a partition's
-tuner sequence depends only on its own history and evaluation is a pure
-function of the point, the reported DSE minutes are identical to the
-serial path at any ``jobs`` setting.
+batch, and the results are merged back onto the virtual clock at each
+partition's own completion time.  A partition's tuner sequence depends
+only on its own history and evaluation is a pure function of the point,
+so the reported DSE minutes are a function of the seed alone.
 
 Crash safety: with a :class:`~repro.dse.checkpoint.CheckpointStore` the
 engine journals its complete state at every batch boundary (the event

@@ -17,9 +17,6 @@ Three layers of memoization, consulted in order:
    ``cached=False``, so warm and cold runs produce identical virtual-clock
    timelines (persistence is a real-wall-clock optimization only);
 3. the estimator itself.
-
-:class:`~repro.dse.parallel.ParallelEvaluator` extends this class with a
-process pool that computes layer 3 out-of-process in batches.
 """
 
 from __future__ import annotations
@@ -36,13 +33,13 @@ from ..obs.span import NULL_TRACER
 from .cache import CacheStore, canonical_key, kernel_digest
 
 #: Virtual minutes charged for an evaluation the backend failed to
-#: produce (worker crash/timeout or an estimator exception): the point is
-#: reported infeasible, and the failed synthesis attempt still costs time.
+#: produce (an estimator exception): the point is reported infeasible,
+#: and the failed synthesis attempt still costs time.
 FAILURE_MINUTES = 1.0
 
 #: ``infeasible_reason`` prefixes marking backend failures (never
 #: persisted — they are not true estimates of the design point).
-FAILURE_PREFIXES = ("worker failure", "evaluation error")
+FAILURE_PREFIXES = ("evaluation error",)
 
 
 def error_result(reason: str, device: Device = VU9P) -> HLSResult:
@@ -122,16 +119,6 @@ class Evaluator:
 
     # ------------------------------------------------------------------
 
-    def _compute(self, point: dict, key: str) -> tuple[HLSResult, bool]:
-        """Produce a fresh result; returns ``(result, persist)``.
-
-        Overridden by the parallel evaluator to consume results computed
-        out-of-process.
-        """
-        qor = self.cost_model.safe_score(self.compiled.kernel, point,
-                                         self.device, tracer=self.tracer)
-        return qor.to_result(self.device), self.cost_model.persistable
-
     def _admit(self, point: dict, key: str, result: HLSResult,
                minutes: float, persist: bool) -> Evaluation:
         evaluation = Evaluation(point=dict(point), qor=self._qor(result),
@@ -176,16 +163,17 @@ class Evaluator:
                 self.tracer.metrics.incr("dse.cache.store_hits")
                 return self._admit(point, key, result, minutes,
                                    persist=False)
-        result, persist = self._compute(point, key)
+        result = self.cost_model.safe_score(
+            self.compiled.kernel, point, self.device,
+            tracer=self.tracer).to_result(self.device)
         return self._admit(point, key, result, result.synthesis_minutes,
-                           persist)
+                           persist=self.cost_model.persistable)
 
     def evaluate_batch(self, points: list[dict]) -> list[Evaluation]:
         """Evaluate a candidate batch; results are in input order.
 
-        The base implementation is serial.  Results are identical to
-        ``[evaluate(p) for p in points]`` by construction — subclasses
-        must preserve that (parallelism must not change the science).
+        Results are identical to ``[evaluate(p) for p in points]`` by
+        construction; the batch is the unit the counters describe.
         """
         self.batches += 1
         self.batched_points += len(points)
@@ -218,7 +206,6 @@ class Evaluator:
         probes = self.evaluations + self.cache_hits
         hits = self.cache_hits + self.store_hits
         data = {
-            "jobs": 1,
             "unique_points": len(self._cache),
             "estimates": self.evaluations - self.store_hits,
             "memory_hits": self.cache_hits,
@@ -228,8 +215,6 @@ class Evaluator:
             "mean_batch": (self.batched_points / self.batches)
             if self.batches else 0.0,
             "max_batch": self.max_batch,
-            "worker_failures": 0,
-            "degraded": False,
         }
         if self.store is not None:
             data["store"] = self.store.stats()

@@ -75,9 +75,7 @@ class OpenTunerRuntime:
 
         while now < self.time_limit and not stopped:
             batch = self._top_k_batch(tuner)
-            # The iteration's top-k candidates are one evaluator batch —
-            # a ParallelEvaluator estimates the misses on its process
-            # pool; results (and cached flags) are independent of jobs.
+            # The iteration's top-k candidates are one evaluator batch.
             results = self.evaluator.evaluate_batch(
                 [point for _, point in batch])
             evaluations = [(name, evaluation) for (name, _), evaluation

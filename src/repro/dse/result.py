@@ -39,8 +39,8 @@ class DSERun:
     first_qor: float = float("inf")
     partitions: list[PartitionReport] = field(default_factory=list)
     space_size: int = 0
-    #: evaluation-backend statistics (pool size, batching, cache hits,
-    #: worker failures) captured at the end of the run
+    #: evaluation-backend statistics (batching, cache hits) captured at
+    #: the end of the run
     evaluator_stats: Optional[dict] = None
     #: surrogate pruning statistics (model identity, points pruned,
     #: finalize revalidation outcome); ``None`` when no surrogate ran

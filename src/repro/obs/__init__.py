@@ -5,9 +5,9 @@ registry threaded through every pipeline layer (Scala frontend -> lift ->
 Merlin -> HLS estimation -> DSE -> Blaze runtime).  Spans carry the stage
 name, wall-clock durations, virtual-clock attributions, and structured
 attributes (design point key, board id, cache hit/miss, retry count);
-they nest across process boundaries by propagating a
-:class:`TraceContext` into :class:`~repro.dse.parallel.ParallelEvaluator`
-workers and merging the child spans on return.
+they nest across process boundaries by shipping a :class:`TraceContext`
+to the other side and merging the spans it exports on return
+(:meth:`Tracer.absorb`).
 
 The two tracer implementations share one protocol:
 

@@ -123,12 +123,10 @@ def evaluation_stats_table(stats: dict,
                            title: str = "Evaluation backend") -> str:
     """Render a DSE run's evaluation-backend statistics.
 
-    ``stats`` is the dict produced by ``Evaluator.stats()`` /
-    ``ParallelEvaluator.stats()``: pool size, batching behaviour, cache
-    hit rates, and worker-failure accounting.
+    ``stats`` is the dict produced by ``Evaluator.stats()``: batching
+    behaviour and cache hit rates.
     """
     rows = [
-        ["process pool size", stats.get("jobs", 1)],
         ["unique points", stats.get("unique_points", 0)],
         ["HLS estimates computed", stats.get("estimates", 0)],
         ["in-memory cache hits", stats.get("memory_hits", 0)],
@@ -137,15 +135,7 @@ def evaluation_stats_table(stats: dict,
         ["evaluation batches", stats.get("batches", 0)],
         ["mean batch size", f"{stats.get('mean_batch', 0.0):.1f}"],
         ["max batch size", stats.get("max_batch", 0)],
-        ["worker failures", stats.get("worker_failures", 0)],
-        ["degraded to in-process", stats.get("degraded", False)],
     ]
-    # Watchdog interventions only appear when something actually hung or
-    # died — the table stays compact on healthy runs.
-    if stats.get("hung_workers") or stats.get("pool_kills"):
-        rows.append(["hung workers killed", stats.get("hung_workers", 0)])
-        rows.append(["pool kills", stats.get("pool_kills", 0)])
-        rows.append(["points requeued", stats.get("requeues", 0)])
     store = stats.get("store")
     if store:
         detail = (f"{store.get('directory', '?')} "

@@ -29,11 +29,11 @@ from .apps.base import AppSpec
 from .compiler.driver import CompiledKernel, compile_kernel
 from .compiler.interface import LayoutConfig
 from .config import ExploreConfig, RuntimeConfig, StreamConfig
-from .cost import CostModel, SurrogateCostModel
+from .cost import AnalyticalCostModel, CostModel, SurrogateCostModel
 from .dse.cache import CacheStore
 from .dse.checkpoint import CheckpointStore
 from .dse.engine import S2FAEngine
-from .dse.parallel import ParallelEvaluator
+from .dse.evaluator import Evaluator
 from .dse.result import DSERun
 from .dse.space import DesignSpace, build_space
 from .errors import (
@@ -313,7 +313,7 @@ class S2FASession:
         cfg = self.explore_config
         device = device if device is not None else self.device
         with self.tracer.span("pipeline.explore", seed=cfg.seed,
-                              jobs=cfg.jobs, device=device.name) as span:
+                              device=device.name) as span:
             compiled = self.compile(
                 app, kernel_class=kernel_class,
                 layout_config=layout_config, pattern=pattern,
@@ -330,24 +330,24 @@ class S2FASession:
                            if cfg.checkpoint_dir else None)
             surrogate = (SurrogateCostModel.load(cfg.surrogate)
                          if cfg.surrogate else None)
-            with ParallelEvaluator(compiled, device, store=store,
-                                   jobs=cfg.jobs,
-                                   cost_model=self.cost_model,
-                                   tracer=self.tracer) as evaluator:
-                engine = S2FAEngine(
-                    evaluator, space, seed=cfg.seed,
-                    time_limit_minutes=cfg.time_limit_minutes,
-                    workers=cfg.workers,
-                    max_partitions=cfg.max_partitions,
-                    checkpoint_store=checkpoints,
-                    surrogate=surrogate,
-                    prune_fraction=cfg.prune_fraction,
-                    tracer=self.tracer)
-                resume = (cfg.resume and checkpoints is not None
-                          and checkpoints.has(evaluator.kernel_digest))
-                with _graceful_shutdown(engine,
-                                        enabled=checkpoints is not None):
-                    run = engine.resume() if resume else engine.run()
+            evaluator = Evaluator(
+                compiled, device, store=store,
+                cost_model=self.cost_model or AnalyticalCostModel(),
+                tracer=self.tracer)
+            engine = S2FAEngine(
+                evaluator, space, seed=cfg.seed,
+                time_limit_minutes=cfg.time_limit_minutes,
+                workers=cfg.workers,
+                max_partitions=cfg.max_partitions,
+                checkpoint_store=checkpoints,
+                surrogate=surrogate,
+                prune_fraction=cfg.prune_fraction,
+                tracer=self.tracer)
+            resume = (cfg.resume and checkpoints is not None
+                      and checkpoints.has(evaluator.kernel_digest))
+            with _graceful_shutdown(engine,
+                                    enabled=checkpoints is not None):
+                run = engine.resume() if resume else engine.run()
             if run.best_point is None:
                 raise DSEError(
                     "the DSE found no feasible design point "

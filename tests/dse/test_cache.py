@@ -9,9 +9,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.apps import get_app
+from repro.cost import AnalyticalCostModel
 from repro.dse import (
     CacheStore,
     Evaluator,
+    S2FAEngine,
+    build_space,
     canonical_key,
     kernel_digest,
     point_from_key,
@@ -97,6 +100,90 @@ class TestEvaluatorKeying:
         assert second.cached
         assert second.qor == first.qor
         assert evaluator.stats()["unique_points"] == 1
+
+
+# ----------------------------------------------------------------------
+# Evaluator over a persistent store
+# ----------------------------------------------------------------------
+
+def _evaluation_tuples(evaluations):
+    return [(e.qor, e.minutes, e.cached, e.result) for e in evaluations]
+
+
+def _fingerprint(run):
+    """Everything a run reports except the backend's own counters."""
+    data = run.to_dict()
+    del data["evaluator_stats"]
+    return data
+
+
+class TestEvaluatorStore:
+    @pytest.fixture(scope="class")
+    def space(self, kmeans):
+        return build_space(kmeans)
+
+    @pytest.fixture(scope="class")
+    def batch(self, space):
+        points = [space.default_point()]
+        for parallel in (2, 4, 8):
+            points.append(dict(points[0], **{"L0.parallel": parallel}))
+        points.append(dict(points[0]))  # duplicate: hits the in-run cache
+        return points
+
+    def test_warm_store_reproduces_cold_run(self, kmeans, batch, tmp_path):
+        cold = Evaluator(kmeans, store=CacheStore(tmp_path))
+        first = cold.evaluate_batch(batch)
+        assert cold.stats()["store_hits"] == 0
+        assert cold.stats()["estimates"] == len(batch) - 1
+
+        warm = Evaluator(kmeans, store=CacheStore(tmp_path))
+        second = warm.evaluate_batch(batch)
+        stats = warm.stats()
+        # Same evaluations, same virtual-clock minutes, but nothing was
+        # re-estimated: every unique point came from the store with its
+        # original synthesis minutes and cached=False.
+        assert _evaluation_tuples(second) == _evaluation_tuples(first)
+        assert stats["estimates"] == 0
+        assert stats["store_hits"] == len(batch) - 1
+        assert stats["hit_rate"] > 0.9
+
+    def test_engine_warm_cache_matches_cold_run(self, kmeans, space,
+                                                tmp_path):
+        def run():
+            return S2FAEngine(
+                Evaluator(kmeans, store=CacheStore(tmp_path)), space,
+                seed=11, time_limit_minutes=60.0).run()
+
+        cold, warm = run(), run()
+        # Identical science — including identical virtual-clock
+        # timelines, because store hits charge the original synthesis
+        # minutes — but the warm run re-estimated nothing.
+        assert _fingerprint(warm) == _fingerprint(cold)
+        stats = warm.evaluator_stats
+        assert stats["estimates"] == 0
+        assert stats["store_hits"] == stats["unique_points"]
+        assert stats["hit_rate"] > 0.9
+
+    def test_evaluation_errors_never_persisted(self, kmeans, batch,
+                                               tmp_path):
+        class Exploding(AnalyticalCostModel):
+            def score(self, kernel, config, device, *, tracer=None):
+                raise RuntimeError("estimator imploded")
+
+        assert Exploding.persistable
+        store = CacheStore(tmp_path)
+        evaluator = Evaluator(kmeans, store=store, cost_model=Exploding())
+        evaluations = evaluator.evaluate_batch(batch)
+        # The firewall turns the exception into an infeasible placeholder
+        # that charges failure minutes ...
+        assert all(e.qor == float("inf") for e in evaluations)
+        assert all(e.result.infeasible_reason
+                   == "evaluation error: estimator imploded"
+                   for e in evaluations)
+        # ... and a placeholder is not an estimate: none reaches the
+        # store, so a later run with a working model re-estimates.
+        assert store.appends == 0
+        assert store.size(evaluator.kernel_digest) == 0
 
 
 # ----------------------------------------------------------------------

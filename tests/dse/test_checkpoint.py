@@ -21,7 +21,6 @@ from repro.dse import (
     CheckpointStore,
     EntropyStopping,
     Evaluator,
-    ParallelEvaluator,
     S2FAEngine,
     build_space,
     validate_checkpoint,
@@ -59,9 +58,9 @@ def _fingerprint(run):
 
 
 def _baseline(kmeans, space):
-    with ParallelEvaluator(kmeans) as evaluator:
-        return S2FAEngine(evaluator, space, seed=SEED,
-                          time_limit_minutes=TIME_LIMIT).run()
+    evaluator = Evaluator(kmeans)
+    return S2FAEngine(evaluator, space, seed=SEED,
+                      time_limit_minutes=TIME_LIMIT).run()
 
 
 # ----------------------------------------------------------------------
@@ -167,14 +166,14 @@ class TestValidation:
     def _checkpoint(self, kmeans, kmeans_space, tmp_path):
         store = CacheStore(tmp_path)
         checkpoints = CheckpointStore(tmp_path)
-        with ParallelEvaluator(kmeans, store=store) as evaluator:
-            engine = S2FAEngine(evaluator, kmeans_space, seed=SEED,
-                                time_limit_minutes=TIME_LIMIT,
-                                checkpoint_store=checkpoints)
-            engine.request_stop()
-            with pytest.raises(ExplorationInterrupted):
-                engine.run()
-            return checkpoints, evaluator.kernel_digest
+        evaluator = Evaluator(kmeans, store=store)
+        engine = S2FAEngine(evaluator, kmeans_space, seed=SEED,
+                            time_limit_minutes=TIME_LIMIT,
+                            checkpoint_store=checkpoints)
+        engine.request_stop()
+        with pytest.raises(ExplorationInterrupted):
+            engine.run()
+        return checkpoints, evaluator.kernel_digest
 
     def test_written_checkpoint_validates_clean(self, kmeans,
                                                 kmeans_space, tmp_path):
@@ -206,22 +205,22 @@ class TestValidation:
                                                   kmeans_space, tmp_path):
         self._checkpoint(kmeans, kmeans_space, tmp_path)
         store = CacheStore(tmp_path)
-        with ParallelEvaluator(kmeans, store=store) as evaluator:
-            engine = S2FAEngine(evaluator, kmeans_space,
-                                seed=SEED + 1,  # different trajectory
-                                time_limit_minutes=TIME_LIMIT,
-                                checkpoint_store=CheckpointStore(tmp_path))
-            with pytest.raises(DSEError, match="seed"):
-                engine.resume()
+        evaluator = Evaluator(kmeans, store=store)
+        engine = S2FAEngine(evaluator, kmeans_space,
+                            seed=SEED + 1,  # different trajectory
+                            time_limit_minutes=TIME_LIMIT,
+                            checkpoint_store=CheckpointStore(tmp_path))
+        with pytest.raises(DSEError, match="seed"):
+            engine.resume()
 
     def test_resume_without_checkpoint_rejected(self, kmeans,
                                                 kmeans_space, tmp_path):
-        with ParallelEvaluator(kmeans) as evaluator:
-            engine = S2FAEngine(evaluator, kmeans_space, seed=SEED,
-                                time_limit_minutes=TIME_LIMIT,
-                                checkpoint_store=CheckpointStore(tmp_path))
-            with pytest.raises(DSEError, match="no checkpoint"):
-                engine.resume()
+        evaluator = Evaluator(kmeans)
+        engine = S2FAEngine(evaluator, kmeans_space, seed=SEED,
+                            time_limit_minutes=TIME_LIMIT,
+                            checkpoint_store=CheckpointStore(tmp_path))
+        with pytest.raises(DSEError, match="no checkpoint"):
+            engine.resume()
 
 
 # ----------------------------------------------------------------------
@@ -238,24 +237,22 @@ class TestResumeExactness:
 
         directory = tmp_path / f"ck{stop_after}"
         monkeypatch.setenv("S2FA_CHAOS_KILL", f"stop:{stop_after}")
-        with ParallelEvaluator(kmeans,
-                               store=CacheStore(directory)) as evaluator:
-            engine = S2FAEngine(evaluator, kmeans_space, seed=SEED,
-                                time_limit_minutes=TIME_LIMIT,
-                                checkpoint_store=CheckpointStore(directory))
-            with pytest.raises(ExplorationInterrupted) as excinfo:
-                engine.run()
+        evaluator = Evaluator(kmeans, store=CacheStore(directory))
+        engine = S2FAEngine(evaluator, kmeans_space, seed=SEED,
+                            time_limit_minutes=TIME_LIMIT,
+                            checkpoint_store=CheckpointStore(directory))
+        with pytest.raises(ExplorationInterrupted) as excinfo:
+            engine.run()
         assert excinfo.value.rounds == stop_after
         assert excinfo.value.checkpoint_path is not None
 
         monkeypatch.delenv("S2FA_CHAOS_KILL")
         checkpoints = CheckpointStore(directory)
-        with ParallelEvaluator(kmeans,
-                               store=CacheStore(directory)) as evaluator:
-            engine = S2FAEngine(evaluator, kmeans_space, seed=SEED,
-                                time_limit_minutes=TIME_LIMIT,
-                                checkpoint_store=checkpoints)
-            resumed = engine.resume()
+        evaluator = Evaluator(kmeans, store=CacheStore(directory))
+        engine = S2FAEngine(evaluator, kmeans_space, seed=SEED,
+                            time_limit_minutes=TIME_LIMIT,
+                            checkpoint_store=checkpoints)
+        resumed = engine.resume()
 
         assert resumed.resumed
         assert _fingerprint(resumed) == _fingerprint(baseline)
@@ -270,21 +267,20 @@ class TestResumeExactness:
     def test_no_duplicate_backend_evaluations(self, kmeans, kmeans_space,
                                               tmp_path, monkeypatch):
         monkeypatch.setenv("S2FA_CHAOS_KILL", "stop:2")
-        with ParallelEvaluator(kmeans,
-                               store=CacheStore(tmp_path)) as evaluator:
-            engine = S2FAEngine(evaluator, kmeans_space, seed=SEED,
-                                time_limit_minutes=TIME_LIMIT,
-                                checkpoint_store=CheckpointStore(tmp_path))
-            with pytest.raises(ExplorationInterrupted):
-                engine.run()
-            digest = evaluator.kernel_digest
+        evaluator = Evaluator(kmeans, store=CacheStore(tmp_path))
+        engine = S2FAEngine(evaluator, kmeans_space, seed=SEED,
+                            time_limit_minutes=TIME_LIMIT,
+                            checkpoint_store=CheckpointStore(tmp_path))
+        with pytest.raises(ExplorationInterrupted):
+            engine.run()
+        digest = evaluator.kernel_digest
 
         monkeypatch.delenv("S2FA_CHAOS_KILL")
         store = CacheStore(tmp_path)
-        with ParallelEvaluator(kmeans, store=store) as evaluator:
-            S2FAEngine(evaluator, kmeans_space, seed=SEED,
-                       time_limit_minutes=TIME_LIMIT,
-                       checkpoint_store=CheckpointStore(tmp_path)).resume()
+        evaluator = Evaluator(kmeans, store=store)
+        S2FAEngine(evaluator, kmeans_space, seed=SEED,
+                   time_limit_minutes=TIME_LIMIT,
+                   checkpoint_store=CheckpointStore(tmp_path)).resume()
 
         lines = (tmp_path / f"{digest}.jsonl").read_text().splitlines()
         keys = [json.loads(line)["key"] for line in lines if line]
@@ -315,14 +311,14 @@ class TestDeviceIsolation:
     def test_checkpoint_keyed_by_device_envelope(self, kmeans,
                                                  kmeans_space, tmp_path):
         checkpoints = CheckpointStore(tmp_path)
-        with ParallelEvaluator(kmeans, device=KC705) as evaluator:
-            engine = S2FAEngine(evaluator, kmeans_space, seed=SEED,
-                                time_limit_minutes=TIME_LIMIT,
-                                checkpoint_store=checkpoints)
-            engine.request_stop()
-            with pytest.raises(ExplorationInterrupted):
-                engine.run()
-            small_digest = evaluator.kernel_digest
+        evaluator = Evaluator(kmeans, device=KC705)
+        engine = S2FAEngine(evaluator, kmeans_space, seed=SEED,
+                            time_limit_minutes=TIME_LIMIT,
+                            checkpoint_store=checkpoints)
+        engine.request_stop()
+        with pytest.raises(ExplorationInterrupted):
+            engine.run()
+        small_digest = evaluator.kernel_digest
         assert checkpoints.has(small_digest)
         # The same kernel on any other registry device keys elsewhere:
         # no resumable state exists, so exploration starts fresh
@@ -330,19 +326,18 @@ class TestDeviceIsolation:
         for device in REGISTRY:
             if device.name == KC705.name:
                 continue
-            with ParallelEvaluator(kmeans, device=device) as other:
-                assert other.kernel_digest != small_digest
-                assert not checkpoints.has(other.kernel_digest)
-                engine = S2FAEngine(other, kmeans_space, seed=SEED,
-                                    time_limit_minutes=TIME_LIMIT,
-                                    checkpoint_store=checkpoints)
-                with pytest.raises(DSEError, match="no checkpoint"):
-                    engine.resume()
+            other = Evaluator(kmeans, device=device)
+            assert other.kernel_digest != small_digest
+            assert not checkpoints.has(other.kernel_digest)
+            engine = S2FAEngine(other, kmeans_space, seed=SEED,
+                                time_limit_minutes=TIME_LIMIT,
+                                checkpoint_store=checkpoints)
+            with pytest.raises(DSEError, match="no checkpoint"):
+                engine.resume()
 
     def test_scaled_same_name_device_keys_elsewhere(self, kmeans,
                                                     kmeans_space,
                                                     tmp_path):
         impostor = VU9P.scaled(VU9P.name, area=0.5)
-        with ParallelEvaluator(kmeans, device=VU9P) as a, \
-                ParallelEvaluator(kmeans, device=impostor) as b:
-            assert a.kernel_digest != b.kernel_digest
+        assert Evaluator(kmeans, device=VU9P).kernel_digest \
+            != Evaluator(kmeans, device=impostor).kernel_digest

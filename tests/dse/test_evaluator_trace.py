@@ -1,8 +1,23 @@
-"""Exploration trace tests."""
+"""Exploration trace tests, and the evaluator under an enabled tracer."""
 
 import math
 
-from repro.dse import ExplorationTrace, TracePoint
+from repro.apps import get_app
+from repro.dse import Evaluator, ExplorationTrace, TracePoint, build_space
+from repro.obs import Tracer
+
+
+def test_tracing_does_not_change_results():
+    kmeans = get_app("KMeans").compile()
+    default = build_space(kmeans).default_point()
+    batch = [dict(default, **{"L0.parallel": p}) for p in (1, 2, 4, 1)]
+    tracer = Tracer()
+    plain = Evaluator(kmeans).evaluate_batch(batch)
+    traced = Evaluator(kmeans, tracer=tracer).evaluate_batch(batch)
+    assert [(e.qor, e.minutes, e.cached, e.result) for e in traced] \
+        == [(e.qor, e.minutes, e.cached, e.result) for e in plain]
+    # One span per fresh estimate, none for the in-run cache hit.
+    assert [s.name for s in tracer.iter_spans()].count("hls.estimate") == 3
 
 
 class TestExplorationTrace:

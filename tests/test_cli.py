@@ -156,8 +156,7 @@ class TestDseCommand:
 
         trace = tmp_path / "out.json"
         code = main(["dse", "kmeans", "--time-limit", "20",
-                     "--jobs", "2", "--tasks", "24",
-                     "--trace", str(trace)])
+                     "--tasks", "24", "--trace", str(trace)])
         assert code == 0
         out = capsys.readouterr().out
         assert "best design" in out
@@ -172,8 +171,6 @@ class TestDseCommand:
                          "compile.kernel", "dse.run", "dse.batch",
                          "hls.estimate", "blaze.offload"):
             assert required in names, f"missing {required} span"
-        # jobs=2 puts worker-side estimates on their own thread lanes.
-        assert {e["tid"] for e in events} != {0}
 
     def test_dse_metrics_table(self, capsys):
         code = main(["dse", "KNN", "--time-limit", "20",
@@ -310,6 +307,12 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as excinfo:
             main(["explore"])  # missing required source argument
         assert excinfo.value.code == EXIT_USAGE
+
+    def test_removed_jobs_flag_is_usage_error(self, kernel_file, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["explore", kernel_file, "--jobs", "2"])
+        assert excinfo.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
     def test_pipeline_error_is_three(self, tmp_path, capsys):
         path = tmp_path / "bad.scala"

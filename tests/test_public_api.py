@@ -137,7 +137,7 @@ def test_dataset_all_snapshot():
 
 def test_explore_config_fields():
     fields = set(repro.ExploreConfig.__dataclass_fields__)
-    assert fields == {"seed", "time_limit_minutes", "workers", "jobs",
+    assert fields == {"seed", "time_limit_minutes", "workers",
                       "cache_dir", "max_partitions", "checkpoint_dir",
                       "resume", "surrogate", "prune_fraction", "device"}
 
@@ -145,7 +145,14 @@ def test_explore_config_fields():
 def test_dataset_config_fields():
     fields = set(repro.DatasetConfig.__dataclass_fields__)
     assert fields == {"out", "seed", "kernels", "configs", "apps",
-                      "jobs", "cache_dir", "resume"}
+                      "cache_dir", "resume"}
+
+
+def test_dse_exports_one_evaluator():
+    import repro.dse
+
+    assert hasattr(repro.dse, "Evaluator")
+    assert not hasattr(repro.dse, "ParallelEvaluator")
 
 
 def test_streaming_all_snapshot():

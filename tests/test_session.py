@@ -2,7 +2,11 @@
 deprecation shims, config validation, and trace plumbing."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +79,21 @@ class TestExploreParity:
             == plain.dse.termination_minutes
 
 
+def test_explore_imports_no_process_machinery():
+    """Evaluation is in-process: a whole exploration in a fresh
+    interpreter must not even import the process-pool modules."""
+    code = ("import sys, repro\n"
+            "repro.S2FASession().explore('kmeans')\n"
+            "loaded = {'multiprocessing', 'concurrent.futures.process'}"
+            " & set(sys.modules)\n"
+            "assert not loaded, loaded\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestShims:
     def test_facade_itself_does_not_warn(self):
         with warnings.catch_warnings():
@@ -113,8 +132,8 @@ class TestRun:
 
 class TestConfigs:
     def test_explore_config_validates(self):
-        with pytest.raises(DSEError, match="jobs"):
-            ExploreConfig(jobs=0)
+        with pytest.raises(DSEError, match="workers"):
+            ExploreConfig(workers=0)
         with pytest.raises(DSEError, match="time_limit"):
             ExploreConfig(time_limit_minutes=0)
 
@@ -129,10 +148,10 @@ class TestConfigs:
             ExploreConfig().seed = 5
 
     def test_replace_revalidates(self):
-        cfg = ExploreConfig().replace(jobs=4)
-        assert cfg.jobs == 4
+        cfg = ExploreConfig().replace(workers=4)
+        assert cfg.workers == 4
         with pytest.raises(DSEError):
-            cfg.replace(jobs=-1)
+            cfg.replace(workers=-1)
 
     def test_runtime_policy_mirror(self):
         cfg = RuntimeConfig(max_attempts=5,
