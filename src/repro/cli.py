@@ -1,97 +1,30 @@
 """Command-line interface: ``python -m repro.cli`` (or the ``s2fa`` script).
 
-The CLI is a pure argv -> config translation: each subcommand builds an
-:class:`~repro.config.ExploreConfig` / :class:`~repro.config.RuntimeConfig`
-pair, hands them to an :class:`~repro.s2fa.S2FASession`, and prints the
-result.  Every pipeline subcommand accepts ``--trace FILE`` to record a
-span trace of the whole run (Chrome ``trace_event`` JSON by default,
-JSONL span log when the file ends in ``.jsonl``).
-
-Subcommands
------------
-
-``compile KERNEL.scala``
-    Run the bytecode-to-C compiler and print the generated HLS C.
-
-``explore KERNEL.scala``
-    Run the full flow (compile + design space exploration) and print the
-    DSE summary, the chosen configuration, and the annotated C.
-
-``dse APP``
-    The end-to-end pipeline for a built-in application: explore the
-    design space, deploy the explored design on the Blaze runtime, and
-    verify the offloaded results against the pure-JVM oracle.
-
-``apps``
-    List the built-in evaluation applications.
-
-``report APP``
-    Compile a built-in application, estimate its expert manual design, and
-    print the HLS report.
-
-``run APP``
-    Deploy a built-in application on the Spark + Blaze runtime, offload a
-    workload, cross-check the collected results against the pure-JVM
-    oracle, and print the runtime metrics.  ``--fault-plan``/
-    ``--fault-seed`` inject a deterministic device-fault schedule (see
-    ``repro.fpga.faults``); the results must stay bit-identical, only the
-    metrics change.
-
-``stream APP``
-    Run a registered streaming pipeline (``lr-stream``, ``aes-window``,
-    ``log-filter``) as micro-batches on the virtual clock: accelerated
-    stages offload through the resilient Blaze path, the sink is
-    idempotent per ``(batch_id, partition)``, and with
-    ``--checkpoint-dir`` the run is crash-safe and exactly-once —
-    SIGINT/SIGTERM flush a boundary checkpoint and exit
-    ``EXIT_INTERRUPTED``, and ``--resume`` continues to a sink
-    byte-identical to an uninterrupted run, under any fault schedule.
-
-``dataset build|train|eval``
-    The learned-cost-model pipeline: ``build`` sweeps kernels x sampled
-    Merlin configs through the analytical estimator into a versioned
-    JSONL dataset (deterministic per seed, resumable); ``train`` fits a
-    pure-python surrogate (ridge or gradient-boosted stumps) and writes
-    a model artifact with a rank-fidelity report; ``eval`` re-scores an
-    artifact against a dataset.  ``explore``/``dse`` accept
-    ``--surrogate MODEL.json`` to prune proposal batches with the
-    learned model (the reported optimum stays analytically verified).
-
-``trace summarize FILE``
-    Per-stage breakdown, top-N slowest spans, and flamegraph of a trace
-    written by ``--trace`` (either format).
-
-``serve``
-    Multi-tenant accelerator daemon over a unix socket: bounded
-    admission queues with explicit ``OVERLOADED`` shedding, per-tenant
-    weighted-round-robin scheduling, per-request deadlines, per-kernel
-    circuit breaking, a content-addressed design cache, and graceful
-    drain on SIGTERM (in-flight work finishes, queued requests get a
-    clean retryable rejection, state is flushed, exit code
-    ``EXIT_INTERRUPTED``).  ``--simulate`` instead runs the
-    deterministic virtual-time load harness in-process and prints
-    p50/p99 latency, shed rate, and board utilization.
-
-``fuzz``
-    Differential fuzzing of the whole compiler: generate random
-    well-typed kernels, run them through the JVM interpreter and the
-    HLS-C executor, demand bit-identical results, and metamorphically
-    check randomized Merlin transforms.  ``--corpus DIR`` first replays
-    every committed regression entry in DIR, then writes minimized
-    crash artifacts there for any new failure; ``--replay-only`` skips
-    generation (the CI regression job).
-
-Layout capacities for variable-length leaves are given as repeated
-``--length path=N`` options, e.g. ``--length in._2=16 --length out=16``.
+The CLI is a view of :mod:`repro.config`: a config-backed flag takes its
+type, default, spelling and help from its dataclass field
+(:func:`_add_flags`), a flag the user did not give stays out of the
+namespace, and :func:`_config` builds each ``*Config`` from exactly what
+was typed, so the dataclass defaults are the only defaults.  Every verb
+hands its configs to an :class:`~repro.s2fa.S2FASession` (or the
+dataset / serve / fuzz entry point) and prints the result; ``s2fa
+<verb> --help`` is the reference for what each verb does and takes.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
 from .compiler.interface import LayoutConfig
+from .config import (
+    DatasetConfig,
+    ExploreConfig,
+    RuntimeConfig,
+    ServeConfig,
+    StreamConfig,
+)
 from .errors import ExplorationInterrupted, S2FAError, StreamInterrupted
 
 # ----------------------------------------------------------------------
@@ -117,97 +50,87 @@ EXIT_ERROR = 3
 EXIT_INTERRUPTED = 75
 
 
-def _parse_lengths(pairs: list[str]) -> LayoutConfig:
-    lengths: dict[str, int] = {}
-    string_length = 128
-    for pair in pairs or []:
-        if "=" not in pair:
-            raise SystemExit(f"--length expects path=N, got {pair!r}")
-        path, _, value = pair.partition("=")
-        if path == "string":
-            string_length = int(value)
-        else:
-            lengths[path] = int(value)
+# ----------------------------------------------------------------------
+# argv -> values (``type=`` callables: argparse reports a bad value)
+# ----------------------------------------------------------------------
+
+def _key_value(text: str) -> tuple:
+    """``"in._2=16"`` -> ``("in._2", 16)`` (``PATH=N``, ``TENANT=W``)."""
+    key, sep, value = text.partition("=")
+    try:
+        if not sep:
+            raise ValueError(text)
+        return key, int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected NAME=INTEGER, got {text!r}") from None
+
+
+def _name_list(text: str) -> tuple:
+    """``"a,b,c"`` -> ``("a", "b", "c")`` (the device registry validates
+    the names downstream with a typed error listing the valid ones)."""
+    return tuple(name.strip() for name in text.split(",") if name.strip())
+
+
+def _layout(args: argparse.Namespace) -> LayoutConfig:
+    lengths = dict(args.length or [])
     return LayoutConfig(lengths=lengths,
-                        default_string_length=string_length)
+                        default_string_length=lengths.pop("string", 128))
 
 
-def _parse_device_list(spec) -> tuple:
-    """``"a,b,c"`` -> ``("a", "b", "c")`` (names validated downstream
-    against the device registry, which raises the typed
-    :class:`~repro.errors.UnknownDeviceError` listing valid names)."""
-    if not spec:
-        return ()
-    return tuple(name.strip() for name in spec.split(",") if name.strip())
+def _usage(args: argparse.Namespace, message: str):
+    """Bad input argparse could not see: exit ``EXIT_USAGE`` with
+    ``s2fa <verb>: error: <message>`` on stderr."""
+    args.parser.error(message)
 
 
-def _read_source(path: str) -> str:
-    source = Path(path)
+def _read_source(args: argparse.Namespace) -> str:
+    source = Path(args.kernel)
     if not source.exists():
-        raise SystemExit(f"no such kernel file: {path}")
+        _usage(args, f"no such kernel file: {args.kernel}")
     return source.read_text()
+
+
+def _lookup(args: argparse.Namespace, registry_get):
+    try:
+        return registry_get(args.app)
+    except KeyError as exc:
+        _usage(args, exc.args[0])
 
 
 # ----------------------------------------------------------------------
 # argv -> config translation
 # ----------------------------------------------------------------------
 
-def _explore_config(args: argparse.Namespace):
-    from .config import ExploreConfig
+def _config(cls, args: argparse.Namespace):
+    """The ``cls`` instance the command line describes.
 
-    return ExploreConfig(
-        seed=getattr(args, "seed", 0),
-        time_limit_minutes=getattr(args, "time_limit", 240.0),
-        cache_dir=getattr(args, "cache_dir", None),
-        checkpoint_dir=getattr(args, "checkpoint_dir", None),
-        resume=bool(getattr(args, "resume", False)),
-        surrogate=getattr(args, "surrogate", None),
-        prune_fraction=getattr(args, "prune_fraction", 0.5),
-        device=getattr(args, "device", None) or "xcvu9p")
-
-
-def _dataset_config(args: argparse.Namespace):
-    from .config import DatasetConfig
-
-    return DatasetConfig(
-        out=args.out,
-        seed=getattr(args, "seed", 0),
-        kernels=getattr(args, "kernels", 4),
-        configs=getattr(args, "configs", 64),
-        apps=not getattr(args, "no_apps", False),
-        cache_dir=getattr(args, "cache_dir", None),
-        resume=bool(getattr(args, "resume", False)))
-
-
-def _runtime_config(args: argparse.Namespace):
-    from .config import RuntimeConfig
-
-    return RuntimeConfig(
-        partitions=getattr(args, "partitions", 4),
-        fault_plan=getattr(args, "fault_plan", None),
-        fault_seed=getattr(args, "fault_seed", 0),
-        engine=getattr(args, "engine", None))
+    Flags the user gave land in the field :func:`_add_flags` derived
+    them from; every other field keeps its dataclass default, and a
+    nested config field (``runtime=``) is built the same way.
+    """
+    given = {}
+    for dest, (owner, name) in args.fields.items():
+        if owner is cls and hasattr(args, dest):
+            value = getattr(args, dest)
+            # a repeatable NAME=INTEGER flag arrives as a list of pairs
+            given[name] = dict(value) if isinstance(value, list) else value
+    for field in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(field.default_factory):
+            given[field.name] = _config(field.default_factory, args)
+    return cls(**given)
 
 
 def _session(args: argparse.Namespace):
     from .s2fa import S2FASession
 
-    return S2FASession(explore=_explore_config(args),
-                       runtime=_runtime_config(args),
+    return S2FASession(explore=_config(ExploreConfig, args),
+                       runtime=_config(RuntimeConfig, args),
                        trace=bool(getattr(args, "trace", None)))
 
 
-def _require_app(name: str):
-    from .apps import get_app
-
-    try:
-        return get_app(name)
-    except KeyError as exc:
-        raise SystemExit(str(exc)) from None
-
-
 def _export_trace(session, args: argparse.Namespace) -> None:
-    if getattr(args, "trace", None):
+    if args.trace:
         spans = session.export_trace(args.trace)
         print(f"trace written to {args.trace} ({spans} spans)")
 
@@ -218,10 +141,10 @@ def _export_trace(session, args: argparse.Namespace) -> None:
 
 def cmd_compile(args: argparse.Namespace) -> int:
     """``s2fa compile``: Scala kernel file -> generated HLS C."""
-    source = _read_source(args.kernel)
+    source = _read_source(args)
     print(_session(args).hls_c(
         source,
-        layout_config=_parse_lengths(args.length),
+        layout_config=_layout(args),
         pattern=args.pattern,
         batch_size=args.batch_size))
     return 0
@@ -251,11 +174,11 @@ def _print_explore_summary(build, run) -> None:
 
 def cmd_explore(args: argparse.Namespace) -> int:
     """``s2fa explore``: compile + DSE, print the chosen design."""
-    source = _read_source(args.kernel)
+    source = _read_source(args)
     session = _session(args)
     build = session.explore(
         source,
-        layout_config=_parse_lengths(args.length),
+        layout_config=_layout(args),
         pattern=args.pattern,
         batch_size=args.batch_size)
     run = build.dse
@@ -305,14 +228,14 @@ def cmd_dse(args: argparse.Namespace) -> int:
     best design meets ``--qor-target`` (any feasible design when no
     target is given) wins the deployment.
     """
-    spec = _require_app(args.app)
+    from .apps import get_app
+
+    spec = _lookup(args, get_app)
     session = _session(args)
     device = None
-    devices = _parse_device_list(getattr(args, "devices", None))
-    if devices:
+    if args.devices:
         sweep = session.explore_devices(
-            spec, list(devices),
-            qor_target=getattr(args, "qor_target", None))
+            spec, list(args.devices), qor_target=args.qor_target)
         _print_device_sweep(sweep)
         build = sweep.best          # DSEError when nothing qualified
         device = build.device
@@ -352,10 +275,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     from .apps import get_app
     from .hls import estimate
 
-    try:
-        spec = get_app(args.app)
-    except KeyError as exc:
-        raise SystemExit(str(exc)) from None
+    spec = _lookup(args, get_app)
     compiled = spec.compile()
     result = estimate(compiled.kernel, spec.manual_config(compiled))
     print(f"{spec.name} ({spec.kind}), expert manual design:")
@@ -376,9 +296,10 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     """``s2fa run``: deploy an app on Blaze, offload, verify, report."""
+    from .apps import get_app
     from .report import blaze_metrics_table
 
-    spec = _require_app(args.app)
+    spec = _lookup(args, get_app)
     session = _session(args)
     outcome = session.run(spec, tasks=args.tasks,
                           data_seed=args.data_seed)
@@ -413,7 +334,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             print(f"corpus : {len(entries)} entries replayed")
     if args.replay_only:
         if not args.corpus:
-            raise SystemExit("--replay-only requires --corpus DIR")
+            _usage(args, "--replay-only requires --corpus DIR")
         return EXIT_FAILURE if failed else EXIT_OK
 
     config = FuzzConfig(
@@ -444,32 +365,13 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     return EXIT_FAILURE if (failed or report.failures) else EXIT_OK
 
 
-def _stream_config(args: argparse.Namespace):
-    from .config import StreamConfig
-
-    return StreamConfig(
-        batch_records=args.batch_records,
-        interval_seconds=args.interval,
-        total_records=args.records,
-        max_batches=args.batches,
-        data_seed=args.data_seed,
-        max_lag_intervals=args.max_lag,
-        sink=args.sink,
-        checkpoint_dir=getattr(args, "checkpoint_dir", None),
-        resume=bool(getattr(args, "resume", False)),
-        runtime=_runtime_config(args))
-
-
 def cmd_stream(args: argparse.Namespace) -> int:
     """``s2fa stream``: run a streaming pipeline to completion."""
     from .apps import get_stream_app
 
-    try:
-        spec = get_stream_app(args.app)
-    except KeyError as exc:
-        raise SystemExit(str(exc)) from None
+    spec = _lookup(args, get_stream_app)
     session = _session(args)
-    outcome = session.stream(spec, _stream_config(args))
+    outcome = session.stream(spec, _config(StreamConfig, args))
     latencies = sorted(outcome.batch_latencies)
 
     def pct(p: float) -> float:
@@ -504,32 +406,9 @@ def cmd_stream(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _serve_config(args: argparse.Namespace):
-    from .config import ServeConfig
-
-    weights = {}
-    for pair in getattr(args, "tenant_weight", None) or []:
-        if "=" not in pair:
-            raise SystemExit(f"--tenant-weight expects TENANT=W, "
-                             f"got {pair!r}")
-        tenant, _, weight = pair.partition("=")
-        weights[tenant] = int(weight)
-    return ServeConfig(
-        queue_depth=args.queue_depth,
-        tenant_weights=weights,
-        replicas=args.replicas,
-        default_deadline_s=args.default_deadline,
-        breaker_threshold=args.breaker_threshold,
-        breaker_reset_s=args.breaker_reset,
-        device=getattr(args, "device", None) or "xcvu9p",
-        fleet_devices=_parse_device_list(
-            getattr(args, "fleet_devices", None)),
-        runtime=_runtime_config(args))
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     """``s2fa serve``: the multi-tenant daemon (or its load harness)."""
-    config = _serve_config(args)
+    config = _config(ServeConfig, args)
     if args.simulate:
         from .serve.loadgen import LoadProfile, run_profile
 
@@ -545,7 +424,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         broken = report.lost or report.duplicates or report.mismatches
         return EXIT_FAILURE if broken else EXIT_OK
     if not args.socket:
-        raise SystemExit("serve needs --socket PATH (or --simulate)")
+        _usage(args, "serve needs --socket PATH (or --simulate)")
     from .serve.daemon import run_daemon
 
     print(f"s2fa serve: listening on {args.socket} "
@@ -555,19 +434,25 @@ def cmd_serve(args: argparse.Namespace) -> int:
                       ready_path=args.ready)
 
 
-def _print_fidelity(report) -> None:
+def _report_fidelity(report, floor) -> int:
+    """Print the fidelity report; ``EXIT_FAILURE`` below ``floor``."""
     print(f"fidelity (holdout): spearman {report.spearman:.3f}, "
           f"mse {report.mse:.3f} "
           f"({report.count} records, {report.infeasible} infeasible)")
     for k, recall in sorted(report.top_k_recall.items()):
         print(f"  top-{k} recall   : {recall:.2f}")
+    if floor is not None and report.spearman < floor:
+        print(f"FAIL: spearman {report.spearman:.3f} < floor {floor}",
+              file=sys.stderr)
+        return EXIT_FAILURE
+    return EXIT_OK
 
 
 def cmd_dataset_build(args: argparse.Namespace) -> int:
     """``s2fa dataset build``: sweep kernels x configs into JSONL."""
     from .dataset import build_dataset
 
-    report = build_dataset(_dataset_config(args))
+    report = build_dataset(_config(DatasetConfig, args))
     print(f"dataset           : {report.path}")
     print(f"records written   : {report.records} "
           f"({report.infeasible} infeasible, "
@@ -600,13 +485,7 @@ def cmd_dataset_train(args: argparse.Namespace) -> int:
     surrogate.save(args.out)
     print(f"surrogate         : {args.out} ({surrogate.identity()})")
     print(f"trained on        : {len(records)} records")
-    _print_fidelity(report)
-    if args.min_spearman is not None \
-            and report.spearman < args.min_spearman:
-        print(f"FAIL: spearman {report.spearman:.3f} < floor "
-              f"{args.min_spearman}", file=sys.stderr)
-        return EXIT_FAILURE
-    return EXIT_OK
+    return _report_fidelity(report, args.min_spearman)
 
 
 def cmd_dataset_eval(args: argparse.Namespace) -> int:
@@ -621,13 +500,7 @@ def cmd_dataset_eval(args: argparse.Namespace) -> int:
               file=sys.stderr)
     report = fidelity_of(surrogate.model, records)
     print(f"surrogate         : {surrogate.identity()}")
-    _print_fidelity(report)
-    if args.min_spearman is not None \
-            and report.spearman < args.min_spearman:
-        print(f"FAIL: spearman {report.spearman:.3f} < floor "
-              f"{args.min_spearman}", file=sys.stderr)
-        return EXIT_FAILURE
-    return EXIT_OK
+    return _report_fidelity(report, args.min_spearman)
 
 
 def cmd_trace_summarize(args: argparse.Namespace) -> int:
@@ -635,11 +508,12 @@ def cmd_trace_summarize(args: argparse.Namespace) -> int:
     from .obs import load_trace, summarize
 
     if not Path(args.file).exists():
-        raise SystemExit(f"no such trace file: {args.file}")
+        _usage(args, f"no such trace file: {args.file}")
     try:
         roots = load_trace(args.file)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from None
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     print(summarize(roots, top=args.top, flame=not args.no_flame))
     return 0
 
@@ -648,58 +522,71 @@ def cmd_trace_summarize(args: argparse.Namespace) -> int:
 # Parser
 # ----------------------------------------------------------------------
 
-def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--engine", choices=("tac", "stack"),
-                        default=None,
-                        help="functional execution engine: 'tac' = "
-                             "flattened register-IR engines (default), "
-                             "'stack' = the original stack/tree "
-                             "interpreters (the differential oracles); "
-                             "also settable via $S2FA_ENGINE")
+#: argparse ``type=`` per field annotation (``Optional[...]`` stripped).
+_TYPES = {"int": int, "float": float, "str": None, "tuple": _name_list,
+          "Mapping[str, int]": _key_value}
 
 
-def _add_device_flag(parser: argparse.ArgumentParser) -> None:
-    from .hls.device import device_names
+def _add_flags(parser: argparse.ArgumentParser, cls, *names: str) -> None:
+    """Attach the flags of ``cls``'s fields ``names`` to ``parser``.
 
-    parser.add_argument("--device", metavar="NAME",
-                        help="target device model (registered: "
-                             + ", ".join(device_names())
-                             + "; default xcvu9p); an unknown name "
-                             "fails with the registered list")
+    Type and default are the field's; spelling, metavar and help are its
+    ``_flag`` metadata (see :mod:`repro.config`).  ``default=SUPPRESS``
+    keeps an unset flag out of the namespace so :func:`_config` leaves
+    the field to the dataclass; the parser's ``fields`` default records
+    which field each flag's ``dest`` feeds.
+    """
+    fields = parser.get_default("fields")
+    for name in names:
+        field = cls.__dataclass_fields__[name]
+        meta = field.metadata
+        help = meta["help"]() if callable(meta["help"]) else meta["help"]
+        kind = field.type
+        if kind.startswith("Optional["):
+            kind = kind[len("Optional["):-1]
+        if kind == "bool":
+            spec = {"action": "store_false" if field.default
+                    else "store_true"}
+        else:
+            spec = {"type": _TYPES[kind], "metavar": meta.get("metavar")}
+            if kind.startswith("Mapping"):
+                spec["action"] = "append"
+            if field.default not in (None, (), dataclasses.MISSING):
+                shown = (f"{field.default:g}" if kind == "float"
+                         else field.default)
+                help += f" (default {shown})"
+        action = parser.add_argument(
+            meta.get("flag") or "--" + name.replace("_", "-"),
+            default=argparse.SUPPRESS, help=help, **spec)
+        fields[action.dest] = (cls, name)
 
 
-def _add_trace_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--trace", metavar="FILE",
-                        help="record a span trace of the whole run "
-                             "(Chrome trace_event JSON; *.jsonl for the "
-                             "span log)")
+#: Flags that are not config fields but are taken by several verbs.
+_SHARED = {
+    "--length": dict(action="append", type=_key_value, metavar="PATH=N",
+                     help="capacity of a variable-length leaf, e.g. "
+                          "--length in._2=16 --length out=16 "
+                          "(string=N sets the default string length)"),
+    "--pattern": dict(default="map", choices=("map", "reduce", "filter")),
+    "--batch-size": dict(type=int, default=1024),
+    "--tasks": dict(type=int, default=64,
+                    help="workload size (default 64)"),
+    "--data-seed": dict(type=int, default=21,
+                        help="workload generator seed (default 21)"),
+    "--metrics": dict(action="store_true",
+                      help="print the Blaze runtime metrics table"),
+    "--trace": dict(metavar="FILE",
+                    help="record a span trace of the whole run (Chrome "
+                         "trace_event JSON; *.jsonl for the span log)"),
+    "--min-spearman": dict(type=float, default=None, metavar="R",
+                           help="fail (exit 1) if holdout spearman "
+                                "lands below this floor"),
+}
 
 
-def _add_checkpoint_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--checkpoint-dir", metavar="DIR",
-                        help="crash-safe exploration: journal the "
-                             "explorer state here at every batch "
-                             "boundary (SIGINT/SIGTERM then exit "
-                             f"{EXIT_INTERRUPTED} with a resumable "
-                             "checkpoint); implies --cache-dir DIR "
-                             "unless one is given")
-    parser.add_argument("--resume", action="store_true",
-                        help="resume from the checkpoint in "
-                             "--checkpoint-dir if one exists (starts "
-                             "fresh otherwise)")
-
-
-def _add_surrogate_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--surrogate", metavar="MODEL.json",
-                        help="learned cost-model artifact (from 's2fa "
-                             "dataset train'); the engine prunes each "
-                             "proposal batch by its predictions, but "
-                             "every reported design is still "
-                             "analytically scored")
-    parser.add_argument("--prune-fraction", type=float, default=0.5,
-                        help="fraction of each unseen batch the "
-                             "surrogate may prune, in [0, 1) "
-                             "(default 0.5)")
+def _add_shared(parser: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        parser.add_argument(flag, **_SHARED[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -710,215 +597,113 @@ def build_parser() -> argparse.ArgumentParser:
                     "(DAC'18 reproduction)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    compile_p = sub.add_parser("compile",
-                               help="Scala kernel -> HLS C")
-    compile_p.add_argument("kernel")
-    compile_p.add_argument("--length", action="append", metavar="PATH=N")
-    compile_p.add_argument("--pattern", default="map",
-                           choices=("map", "reduce", "filter"))
-    compile_p.add_argument("--batch-size", type=int, default=1024)
-    compile_p.set_defaults(func=cmd_compile)
+    def verb(name, func, help, sub=sub):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func, parser=p, fields={})
+        return p
 
-    explore_p = sub.add_parser("explore",
-                               help="compile + design space exploration")
-    explore_p.add_argument("kernel")
-    explore_p.add_argument("--length", action="append", metavar="PATH=N")
-    explore_p.add_argument("--pattern", default="map",
-                           choices=("map", "reduce", "filter"))
-    explore_p.add_argument("--batch-size", type=int, default=1024)
-    explore_p.add_argument("--seed", type=int, default=0)
-    explore_p.add_argument("--time-limit", type=float, default=240.0,
-                           help="virtual minutes (default 240)")
-    explore_p.add_argument("--cache-dir", metavar="DIR",
-                           help="persistent evaluation cache directory "
-                                "(repeated runs skip re-estimation)")
-    _add_device_flag(explore_p)
-    _add_checkpoint_flags(explore_p)
-    _add_surrogate_flags(explore_p)
-    explore_p.add_argument("--emit-c", action="store_true",
-                           help="print the annotated HLS C")
-    explore_p.add_argument("--json", metavar="FILE",
-                           help="write the DSE run (trace, partitions, "
-                                "best design) as JSON")
-    _add_trace_flag(explore_p)
-    explore_p.set_defaults(func=cmd_explore)
+    p = verb("compile", cmd_compile, "Scala kernel -> HLS C")
+    p.add_argument("kernel")
+    _add_shared(p, "--length", "--pattern", "--batch-size")
 
-    dse_p = sub.add_parser(
-        "dse", help="end-to-end pipeline: explore a built-in app and "
-                    "deploy the explored design on Blaze")
-    dse_p.add_argument("app")
-    dse_p.add_argument("--seed", type=int, default=0)
-    dse_p.add_argument("--time-limit", type=float, default=240.0,
-                       help="virtual minutes (default 240)")
-    dse_p.add_argument("--cache-dir", metavar="DIR",
-                       help="persistent evaluation cache directory")
-    _add_device_flag(dse_p)
-    dse_p.add_argument("--devices", metavar="A,B,C",
-                       help="comma-separated registered device names: "
-                            "explore (device x config) and deploy on "
-                            "the cheapest board meeting --qor-target")
-    dse_p.add_argument("--qor-target", type=float, default=None,
-                       metavar="CYCLES",
-                       help="QoR bar for --devices: best design must "
-                            "reach this normalized cycle count or "
-                            "better (default: any feasible design)")
-    _add_checkpoint_flags(dse_p)
-    _add_surrogate_flags(dse_p)
-    dse_p.add_argument("--tasks", type=int, default=64,
-                       help="deployment workload size (default 64)")
-    dse_p.add_argument("--data-seed", type=int, default=21,
-                       help="workload generator seed (default 21)")
-    dse_p.add_argument("--partitions", type=int, default=4,
-                       help="Spark partitions (default 4)")
-    dse_p.add_argument("--metrics", action="store_true",
-                       help="print the Blaze runtime metrics table")
-    _add_engine_flag(dse_p)
-    _add_trace_flag(dse_p)
-    dse_p.set_defaults(func=cmd_dse)
+    p = verb("explore", cmd_explore, "compile + design space exploration")
+    p.add_argument("kernel")
+    _add_shared(p, "--length", "--pattern", "--batch-size")
+    _add_flags(p, ExploreConfig, "seed", "time_limit_minutes", "cache_dir",
+               "device", "checkpoint_dir", "resume", "surrogate",
+               "prune_fraction")
+    p.add_argument("--emit-c", action="store_true",
+                   help="print the annotated HLS C")
+    p.add_argument("--json", metavar="FILE",
+                   help="write the DSE run (trace, partitions, best "
+                        "design) as JSON")
+    _add_shared(p, "--trace")
 
-    apps_p = sub.add_parser("apps", help="list built-in applications")
-    apps_p.set_defaults(func=cmd_apps)
+    p = verb("dse", cmd_dse, "end-to-end pipeline: explore a built-in app "
+                             "and deploy the explored design on Blaze")
+    p.add_argument("app")
+    _add_flags(p, ExploreConfig, "seed", "time_limit_minutes", "cache_dir",
+               "device")
+    p.add_argument("--devices", metavar="A,B,C", type=_name_list,
+                   help="comma-separated registered device names: "
+                        "explore (device x config) and deploy on the "
+                        "cheapest board meeting --qor-target")
+    p.add_argument("--qor-target", type=float, default=None,
+                   metavar="CYCLES",
+                   help="QoR bar for --devices: best design must reach "
+                        "this normalized cycle count or better "
+                        "(default: any feasible design)")
+    _add_flags(p, ExploreConfig, "checkpoint_dir", "resume", "surrogate",
+               "prune_fraction")
+    _add_shared(p, "--tasks", "--data-seed")
+    _add_flags(p, RuntimeConfig, "partitions")
+    _add_shared(p, "--metrics", "--trace")
 
-    report_p = sub.add_parser("report",
-                              help="HLS report of a built-in app")
-    report_p.add_argument("app")
-    report_p.set_defaults(func=cmd_report)
+    verb("apps", cmd_apps, "list built-in applications")
 
-    run_p = sub.add_parser(
-        "run", help="deploy a built-in app on the Blaze runtime")
-    run_p.add_argument("app")
-    run_p.add_argument("--tasks", type=int, default=64,
-                       help="workload size (default 64)")
-    run_p.add_argument("--data-seed", type=int, default=21,
-                       help="workload generator seed (default 21)")
-    run_p.add_argument("--partitions", type=int, default=4,
-                       help="Spark partitions (default 4)")
-    run_p.add_argument("--fault-plan", metavar="SPEC",
-                       help="device fault schedule, e.g. "
-                            "'transient=0.2,hang=0.05,corrupt=0.1,"
-                            "lose_after=40'")
-    run_p.add_argument("--fault-seed", type=int, default=0,
-                       help="seed of the fault schedule (default 0)")
-    _add_device_flag(run_p)
-    _add_engine_flag(run_p)
-    _add_trace_flag(run_p)
-    run_p.set_defaults(func=cmd_run)
+    p = verb("report", cmd_report, "HLS report of a built-in app")
+    p.add_argument("app")
 
-    stream_p = sub.add_parser(
-        "stream", help="run a streaming pipeline (micro-batched, "
-                       "exactly-once) on the Blaze runtime")
-    stream_p.add_argument("app",
-                          help="streaming app: lr-stream, aes-window, "
-                               "or log-filter")
-    stream_p.add_argument("--batch-records", type=int, default=32,
-                          help="source records per micro-batch "
-                               "(default 32)")
-    stream_p.add_argument("--interval", type=float, default=0.05,
-                          metavar="SECONDS",
-                          help="micro-batch interval, virtual seconds "
-                               "(default 0.05)")
-    stream_p.add_argument("--records", type=int, default=256,
-                          help="bounded source size (default 256)")
-    stream_p.add_argument("--batches", type=int, default=None,
-                          help="hard cap on micro-batches (default: "
-                               "until the source is exhausted)")
-    stream_p.add_argument("--data-seed", type=int, default=21,
-                          help="record generator seed (default 21)")
-    stream_p.add_argument("--max-lag", type=float, default=2.0,
-                          metavar="INTERVALS",
-                          help="LAGGING threshold in batch intervals "
-                               "(default 2.0)")
-    stream_p.add_argument("--sink", metavar="FILE",
-                          help="append sink rows to this JSONL file "
-                               "(default: in-memory)")
-    stream_p.add_argument("--partitions", type=int, default=4,
-                          help="Spark partitions (default 4)")
-    stream_p.add_argument("--fault-plan", metavar="SPEC",
-                          help="device fault schedule, e.g. "
-                               "'transient=0.2,hang=0.05,lose_after=40'")
-    stream_p.add_argument("--fault-seed", type=int, default=0,
-                          help="seed of the fault schedule (default 0)")
-    stream_p.add_argument("--checkpoint-dir", metavar="DIR",
-                          help="crash-safe exactly-once streaming: "
-                               "checkpoint source offsets + operator "
-                               "state here after every micro-batch "
-                               "(SIGINT/SIGTERM then exit "
-                               f"{EXIT_INTERRUPTED} resumable)")
-    stream_p.add_argument("--resume", action="store_true",
-                          help="resume from the checkpoint in "
-                               "--checkpoint-dir if one exists")
-    stream_p.add_argument("--metrics", action="store_true",
-                          help="print the Blaze runtime metrics table")
-    _add_engine_flag(stream_p)
-    _add_trace_flag(stream_p)
-    stream_p.set_defaults(func=cmd_stream)
+    p = verb("run", cmd_run, "deploy a built-in app on the Blaze runtime")
+    p.add_argument("app")
+    _add_shared(p, "--tasks", "--data-seed")
+    _add_flags(p, RuntimeConfig, "partitions", "fault_plan", "fault_seed")
+    _add_flags(p, ExploreConfig, "device")
+    _add_shared(p, "--trace")
 
-    fuzz_p = sub.add_parser(
-        "fuzz", help="differential + metamorphic compiler fuzzing")
-    fuzz_p.add_argument("--iterations", type=int, default=200,
-                        help="kernels to generate (default 200)")
-    fuzz_p.add_argument("--seed", type=int, default=0,
-                        help="campaign seed; the kernel sequence is a "
-                             "pure function of it (default 0)")
-    fuzz_p.add_argument("--corpus", metavar="DIR",
-                        help="replay the regression entries in DIR "
-                             "first, then write minimized crash "
-                             "artifacts there on new failures")
-    fuzz_p.add_argument("--replay-only", action="store_true",
-                        help="only replay the corpus, no generation")
-    fuzz_p.add_argument("--tasks", type=int, default=4,
-                        help="input tasks per kernel (default 4)")
-    fuzz_p.add_argument("--max-failures", type=int, default=10,
-                        help="stop the campaign after this many "
-                             "failures (default 10)")
-    fuzz_p.add_argument("--no-metamorphic", action="store_true",
-                        help="skip the Merlin transform checker")
-    fuzz_p.add_argument("--no-minimize", action="store_true",
-                        help="keep failing kernels unshrunk")
-    fuzz_p.set_defaults(func=cmd_fuzz)
+    p = verb("stream", cmd_stream, "run a streaming pipeline "
+             "(micro-batched, exactly-once) on the Blaze runtime")
+    p.add_argument("app",
+                   help="streaming app: lr-stream, aes-window, or log-filter")
+    _add_flags(p, StreamConfig, "batch_records", "interval_seconds",
+               "total_records", "max_batches", "data_seed",
+               "max_lag_intervals", "sink")
+    _add_flags(p, RuntimeConfig, "partitions", "fault_plan", "fault_seed")
+    _add_flags(p, StreamConfig, "checkpoint_dir", "resume")
+    _add_shared(p, "--metrics", "--trace")
 
-    serve_p = sub.add_parser(
-        "serve", help="multi-tenant accelerator daemon (unix socket)")
-    serve_p.add_argument("--socket", metavar="PATH",
-                         help="unix socket path to listen on")
-    serve_p.add_argument("--state", metavar="FILE",
-                         help="flush the final state snapshot here on "
-                              "graceful drain")
-    serve_p.add_argument("--ready", metavar="FILE",
-                         help="touch FILE (with the daemon pid) once "
-                              "the socket is listening")
-    serve_p.add_argument("--queue-depth", type=int, default=64,
-                         help="bounded per-tenant queue depth; a full "
-                              "queue sheds OVERLOADED (default 64)")
-    serve_p.add_argument("--tenant-weight", action="append",
-                         metavar="TENANT=W",
-                         help="weighted-round-robin weight for a tenant "
-                              "(repeatable; others get weight 1)")
-    serve_p.add_argument("--replicas", type=int, default=2,
-                         help="virtual boards per kernel (default 2)")
-    serve_p.add_argument("--default-deadline", type=float, default=None,
-                         metavar="SECONDS",
-                         help="default per-request deadline in virtual "
-                              "seconds (default: unbounded)")
-    serve_p.add_argument("--breaker-threshold", type=int, default=3,
-                         help="consecutive hardware failures before a "
-                              "kernel's circuit opens (default 3)")
-    serve_p.add_argument("--breaker-reset", type=float, default=0.5,
-                         help="circuit cooldown in virtual seconds "
-                              "before a half-open probe (default 0.5)")
-    serve_p.add_argument("--fault-plan", metavar="SPEC",
-                         help="device fault schedule for every board, "
-                              "e.g. 'transient=0.2,lose_after=40'")
-    serve_p.add_argument("--fault-seed", type=int, default=0,
-                         help="seed of the fault schedule (default 0)")
-    _add_device_flag(serve_p)
-    serve_p.add_argument("--fleet-devices", metavar="A,B,C",
-                         help="heterogeneous board fleet: comma-separated "
-                              "registered device names assigned to "
-                              "replicas round-robin (placement/timing "
-                              "only; results stay bit-identical)")
-    _add_engine_flag(serve_p)
-    sim = serve_p.add_argument_group(
+    p = verb("fuzz", cmd_fuzz,
+             "differential + metamorphic compiler fuzzing")
+    p.add_argument("--iterations", type=int, default=200,
+                   help="kernels to generate (default 200)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="campaign seed; the kernel sequence is a pure "
+                        "function of it (default 0)")
+    p.add_argument("--corpus", metavar="DIR",
+                   help="replay the regression entries in DIR first, "
+                        "then write minimized crash artifacts there on "
+                        "new failures")
+    p.add_argument("--replay-only", action="store_true",
+                   help="only replay the corpus, no generation")
+    p.add_argument("--tasks", type=int, default=4,
+                   help="input tasks per kernel (default 4)")
+    p.add_argument("--max-failures", type=int, default=10,
+                   help="stop the campaign after this many failures "
+                        "(default 10)")
+    p.add_argument("--no-metamorphic", action="store_true",
+                   help="skip the Merlin transform checker")
+    p.add_argument("--no-minimize", action="store_true",
+                   help="keep failing kernels unshrunk")
+
+    p = verb("serve", cmd_serve,
+             "multi-tenant accelerator daemon (unix socket)")
+    p.add_argument("--socket", metavar="PATH",
+                   help="unix socket path to listen on")
+    p.add_argument("--state", metavar="FILE",
+                   help="flush the final state snapshot here on graceful "
+                        "drain")
+    p.add_argument("--ready", metavar="FILE",
+                   help="touch FILE (with the daemon pid) once the socket "
+                        "is listening")
+    _add_flags(p, ServeConfig, "queue_depth", "tenant_weights", "replicas",
+               "default_deadline_s", "breaker_threshold",
+               "breaker_reset_s")
+    _add_flags(p, RuntimeConfig, "fault_plan", "fault_seed")
+    _add_flags(p, ServeConfig, "device", "fleet_devices")
+    # The load profile lives in repro.serve.loadgen, which the parser
+    # must not import (``s2fa --help`` stays free of the serve stack),
+    # so this group spells its defaults out.
+    sim = p.add_argument_group(
         "load simulation (--simulate: no daemon, no socket; replay a "
         "deterministic multi-tenant trace on the virtual clock)")
     sim.add_argument("--simulate", action="store_true",
@@ -943,92 +728,55 @@ def build_parser() -> argparse.ArgumentParser:
                      help="trace seed: same seed, same trace, same "
                           "report (default 0)")
     sim.add_argument("--no-verify", action="store_true",
-                     help="skip the bit-identity check against the "
-                          "JVM oracle")
-    serve_p.set_defaults(func=cmd_serve)
+                     help="skip the bit-identity check against the JVM "
+                          "oracle")
 
-    dataset_p = sub.add_parser(
-        "dataset", help="QoR dataset factory + surrogate training")
-    dataset_sub = dataset_p.add_subparsers(dest="dataset_command",
-                                           required=True)
+    dataset_sub = sub.add_parser(
+        "dataset", help="QoR dataset factory + surrogate training"
+    ).add_subparsers(dest="dataset_command", required=True)
 
-    ds_build = dataset_sub.add_parser(
-        "build", help="sweep kernels x sampled configs through the "
-                      "analytical estimator into a JSONL dataset")
-    ds_build.add_argument("--out", default="dataset.jsonl",
-                          metavar="FILE",
-                          help="output JSONL path "
-                               "(default dataset.jsonl)")
-    ds_build.add_argument("--seed", type=int, default=0,
-                          help="sweep seed: kernels and sampled "
-                               "configs are a pure function of it "
-                               "(default 0)")
-    ds_build.add_argument("--kernels", type=int, default=4,
-                          help="fuzz-generated kernels on top of the "
-                               "app suite (default 4)")
-    ds_build.add_argument("--configs", type=int, default=64,
-                          help="sampled design configs per kernel "
-                               "(default 64)")
-    ds_build.add_argument("--no-apps", action="store_true",
-                          help="skip the built-in application suite")
-    ds_build.add_argument("--cache-dir", metavar="DIR",
-                          help="persistent evaluation cache directory")
-    ds_build.add_argument("--resume", action="store_true",
-                          help="keep records already in --out and "
-                               "continue after them")
-    ds_build.set_defaults(func=cmd_dataset_build)
+    p = verb("build", cmd_dataset_build,
+             "sweep kernels x sampled configs through the analytical "
+             "estimator into a JSONL dataset", dataset_sub)
+    _add_flags(p, DatasetConfig, "out", "seed", "kernels", "configs",
+               "apps", "cache_dir", "resume")
 
-    ds_train = dataset_sub.add_parser(
-        "train", help="fit a surrogate on a dataset and write the "
-                      "model artifact")
-    ds_train.add_argument("dataset", help="JSONL dataset file")
-    ds_train.add_argument("--out", default="surrogate.json",
-                          metavar="FILE",
-                          help="artifact path (default surrogate.json)")
-    ds_train.add_argument("--model", choices=("ridge", "gbdt"),
-                          default="gbdt",
-                          help="learner (default gbdt)")
-    ds_train.add_argument("--alpha", type=float, default=1.0,
-                          help="ridge regularization (default 1.0)")
-    ds_train.add_argument("--trees", type=int, default=40,
-                          help="GBDT boosting rounds (default 40)")
-    ds_train.add_argument("--depth", type=int, default=3,
-                          help="GBDT tree depth (default 3)")
-    ds_train.add_argument("--min-spearman", type=float, default=None,
-                          metavar="R",
-                          help="fail (exit 1) if holdout spearman "
-                               "lands below this floor")
-    ds_train.set_defaults(func=cmd_dataset_train)
+    p = verb("train", cmd_dataset_train, "fit a surrogate on a dataset "
+             "and write the model artifact", dataset_sub)
+    p.add_argument("dataset", help="JSONL dataset file")
+    p.add_argument("--out", default="surrogate.json", metavar="FILE",
+                   help="artifact path (default surrogate.json)")
+    p.add_argument("--model", choices=("ridge", "gbdt"), default="gbdt",
+                   help="learner (default gbdt)")
+    p.add_argument("--alpha", type=float, default=1.0,
+                   help="ridge regularization (default 1.0)")
+    p.add_argument("--trees", type=int, default=40,
+                   help="GBDT boosting rounds (default 40)")
+    p.add_argument("--depth", type=int, default=3,
+                   help="GBDT tree depth (default 3)")
+    _add_shared(p, "--min-spearman")
 
-    ds_eval = dataset_sub.add_parser(
-        "eval", help="fidelity of a trained artifact on a dataset")
-    ds_eval.add_argument("surrogate", help="model artifact (JSON)")
-    ds_eval.add_argument("dataset", help="JSONL dataset file")
-    ds_eval.add_argument("--min-spearman", type=float, default=None,
-                         metavar="R",
-                         help="fail (exit 1) below this floor")
-    ds_eval.set_defaults(func=cmd_dataset_eval)
+    p = verb("eval", cmd_dataset_eval,
+             "fidelity of a trained artifact on a dataset", dataset_sub)
+    p.add_argument("surrogate", help="model artifact (JSON)")
+    p.add_argument("dataset", help="JSONL dataset file")
+    _add_shared(p, "--min-spearman")
 
-    trace_p = sub.add_parser("trace",
-                             help="inspect recorded span traces")
-    trace_sub = trace_p.add_subparsers(dest="trace_command", required=True)
-    summarize_p = trace_sub.add_parser(
-        "summarize", help="per-stage breakdown + flamegraph of a trace")
-    summarize_p.add_argument("file")
-    summarize_p.add_argument("--top", type=int, default=10,
-                             help="slowest spans to list (default 10)")
-    summarize_p.add_argument("--no-flame", action="store_true",
-                             help="skip the flamegraph section")
-    summarize_p.set_defaults(func=cmd_trace_summarize)
+    trace_sub = sub.add_parser(
+        "trace", help="inspect recorded span traces"
+    ).add_subparsers(dest="trace_command", required=True)
+    p = verb("summarize", cmd_trace_summarize,
+             "per-stage breakdown + flamegraph of a trace", trace_sub)
+    p.add_argument("file")
+    p.add_argument("--top", type=int, default=10,
+                   help="slowest spans to list (default 10)")
+    p.add_argument("--no-flame", action="store_true",
+                   help="skip the flamegraph section")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code.
-
-    See the ``EXIT_*`` constants at the top of this module for the
-    pinned exit-code contract.
-    """
+    """CLI entry point; returns the process exit code (``EXIT_*``)."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

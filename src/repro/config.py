@@ -1,19 +1,14 @@
 """Frozen run-configuration dataclasses for the S2FA facade and CLI.
 
-Before the :class:`~repro.s2fa.S2FASession` redesign, every entry point
-grew its own ad-hoc keyword arguments (``cache_dir``,
-``fault_plan``, ``fault_seed``, deadline/backoff knobs, ...).  These two
-immutable dataclasses are now the single home for those knobs:
-
-* :class:`ExploreConfig` — everything the compile + DSE half of the
-  pipeline needs (seed, virtual time limit, tuner workers, persistent
-  cache directory);
-* :class:`RuntimeConfig` — everything the Spark + Blaze half needs
-  (partitions, fault schedule, offload deadlines/backoff/quarantine).
-
-The CLI is a pure argv -> config translation onto these types, and the
-facade consumes them directly; both validate eagerly in
-``__post_init__`` so a bad knob fails at construction, not mid-run.
+These immutable dataclasses are the single definition of every run
+knob: :class:`ExploreConfig` (compile + DSE), :class:`RuntimeConfig`
+(Spark + Blaze offload path), :class:`DatasetConfig`,
+:class:`StreamConfig` and :class:`ServeConfig`.  The facade consumes
+them directly and all validate eagerly in ``__post_init__``, so a bad
+knob fails at construction, not mid-run.  The ``s2fa`` command line is
+a view of them: a field declared with :func:`_flag` is also a CLI flag
+(``repro.cli`` reads its type and default from the field, the rest from
+its metadata); a field declared plainly is API-only.
 """
 
 from __future__ import annotations
@@ -31,6 +26,26 @@ from .errors import (
 )
 
 
+def _flag(default, help, **spelling):
+    """A field that is also an ``s2fa`` flag.
+
+    ``help`` is the field's one description (``--help`` appends the
+    default); ``spelling`` holds ``flag=`` when the flag is not
+    ``--field-name`` and ``metavar=`` where the parser shows one.  A
+    callable ``default`` is the factory of a mutable one.
+    """
+    kind = "default_factory" if callable(default) else "default"
+    return field(**{kind: default}, metadata={"help": help, **spelling})
+
+
+def _device_help() -> str:
+    from .hls.device import device_names
+
+    return ("target device model (registered: "
+            + ", ".join(device_names()) + "); an unknown name fails "
+            "with the registered list")
+
+
 @dataclass(frozen=True)
 class ExploreConfig:
     """Knobs of ``session.explore`` (compile + design space exploration).
@@ -39,36 +54,36 @@ class ExploreConfig:
     explorations of the same kernel skip re-estimation.
     """
 
-    #: Tuner RNG seed (the whole exploration is deterministic in it).
-    seed: int = 0
-    #: Global virtual time limit, in synthesis minutes.
-    time_limit_minutes: float = 240.0
+    seed: int = _flag(
+        0, "tuner RNG seed; the whole exploration is deterministic in it")
+    time_limit_minutes: float = _flag(
+        240.0, "virtual minutes", flag="--time-limit")
     #: Virtual DSE workers (the paper's eight-core machine).
     workers: int = 8
-    #: Persistent evaluation cache directory (``None`` disables).
-    cache_dir: Optional[str] = None
+    cache_dir: Optional[str] = _flag(
+        None, "persistent evaluation cache directory (repeated runs "
+              "skip re-estimation)", metavar="DIR")
     #: Decision-tree partition budget (Section 4.3.1).
     max_partitions: int = 8
-    #: Exploration checkpoint directory (``None`` disables crash-safe
-    #: checkpointing).  Also enables the evaluation cache there unless
-    #: ``cache_dir`` names one explicitly — a resume needs the cache to
-    #: replay the killed batch without duplicate backend evaluations.
-    checkpoint_dir: Optional[str] = None
-    #: Resume from the checkpoint in ``checkpoint_dir`` if one exists
-    #: (otherwise start fresh — idempotent restart semantics for
-    #: schedulers).
-    resume: bool = False
-    #: Path to a trained surrogate artifact (``s2fa dataset train``).
-    #: When set, the engine scores each proposed batch with the
-    #: surrogate and skips the analytically-worst fraction; the reported
-    #: optimum is still always analytically verified.
-    surrogate: Optional[str] = None
-    #: Fraction of each unseen batch the surrogate may prune ([0, 1)).
-    prune_fraction: float = 0.5
-    #: Registered device name the exploration targets (the envelope the
-    #: estimator scores against).  Unknown names fail eagerly with
-    #: :class:`~repro.errors.UnknownDeviceError`.
-    device: str = "xcvu9p"
+    # A resume needs the cache to replay the killed batch without
+    # duplicate backend evaluations, hence the implied cache directory.
+    checkpoint_dir: Optional[str] = _flag(
+        None, "crash-safe exploration: journal the explorer state here "
+              "at every batch boundary (SIGINT/SIGTERM then exit 75 "
+              "with a resumable checkpoint); implies --cache-dir DIR "
+              "unless one is given", metavar="DIR")
+    resume: bool = _flag(
+        False, "resume from the checkpoint in --checkpoint-dir if one "
+               "exists (starts fresh otherwise)")
+    surrogate: Optional[str] = _flag(
+        None, "learned cost-model artifact (from 's2fa dataset train'); "
+              "the engine prunes each proposal batch by its "
+              "predictions, but every reported design is still "
+              "analytically scored", metavar="MODEL.json")
+    prune_fraction: float = _flag(
+        0.5, "fraction of each unseen batch the surrogate may prune, "
+             "in [0, 1)")
+    device: str = _flag("xcvu9p", _device_help, metavar="NAME")
 
     def __post_init__(self) -> None:
         self.resolve_device()           # fail on a bad name eagerly
@@ -112,20 +127,19 @@ class DatasetConfig:
     are kept and the sweep continues after them.
     """
 
-    #: Output JSONL path.
-    out: str = "dataset.jsonl"
-    #: Sweep RNG seed (kernel generation and config sampling).
-    seed: int = 0
-    #: Number of fuzz-generated kernels (on top of the app suite).
-    kernels: int = 4
-    #: Sampled design configurations per kernel.
-    configs: int = 64
-    #: Include the built-in application suite kernels.
-    apps: bool = True
-    #: Persistent evaluation cache directory (``None`` disables).
-    cache_dir: Optional[str] = None
-    #: Keep existing records in ``out`` and continue after them.
-    resume: bool = False
+    out: str = _flag("dataset.jsonl", "output JSONL path", metavar="FILE")
+    seed: int = _flag(
+        0, "sweep seed: kernels and sampled configs are a pure function "
+           "of it")
+    kernels: int = _flag(
+        4, "fuzz-generated kernels on top of the app suite")
+    configs: int = _flag(64, "sampled design configs per kernel")
+    apps: bool = _flag(
+        True, "skip the built-in application suite", flag="--no-apps")
+    cache_dir: Optional[str] = _flag(
+        None, "persistent evaluation cache directory", metavar="DIR")
+    resume: bool = _flag(
+        False, "keep records already in --out and continue after them")
 
     def __post_init__(self) -> None:
         if not self.out:
@@ -155,12 +169,11 @@ class RuntimeConfig:
     mirror :class:`repro.blaze.runtime.OffloadPolicy` field for field.
     """
 
-    #: Spark partitions (each partition is one accelerator batch).
-    partitions: int = 4
-    #: Device fault schedule spec (``None`` = fault-free hardware).
-    fault_plan: Optional[str] = None
-    #: Seed of the fault schedule.
-    fault_seed: int = 0
+    partitions: int = _flag(4, "Spark partitions")
+    fault_plan: Optional[str] = _flag(
+        None, "device fault schedule, e.g. 'transient=0.2,hang=0.05,"
+              "corrupt=0.1,lose_after=40'", metavar="SPEC")
+    fault_seed: int = _flag(0, "seed of the fault schedule")
     #: Invocation attempts per batch before the board is quarantined.
     max_attempts: int = 3
     #: Host deadline per batch, virtual seconds.
@@ -173,8 +186,8 @@ class RuntimeConfig:
     quarantine_factor: float = 2.0
     #: Functional execution engine: ``"tac"`` (flattened register-IR
     #: engines) or ``"stack"`` (the original stack/tree walkers, kept
-    #: as differential oracles).  ``None`` defers to ``$S2FA_ENGINE``,
-    #: then the default (see :mod:`repro.engines`).
+    #: as differential oracles).  ``None`` is the default engine (see
+    #: :mod:`repro.engines`).
     engine: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -231,31 +244,31 @@ class StreamConfig:
     along in ``runtime``, like :class:`ServeConfig`.
     """
 
-    #: Source records admitted per micro-batch.
-    batch_records: int = 32
-    #: Micro-batch interval, virtual seconds.
-    interval_seconds: float = 0.05
-    #: Bounded source size (``None`` = unbounded; ``max_batches`` must
-    #: then bound the run).
-    total_records: Optional[int] = 256
-    #: Hard cap on micro-batches this run (``None`` = until the source
-    #: is exhausted).
-    max_batches: Optional[int] = None
-    #: Seed of the deterministic record source.
-    data_seed: int = 21
+    batch_records: int = _flag(32, "source records per micro-batch")
+    interval_seconds: float = _flag(
+        0.05, "micro-batch interval, virtual seconds",
+        flag="--interval", metavar="SECONDS")
+    total_records: Optional[int] = _flag(
+        256, "bounded source size", flag="--records")
+    max_batches: Optional[int] = _flag(
+        None, "hard cap on micro-batches (default: until the source is "
+              "exhausted)", flag="--batches")
+    data_seed: int = _flag(21, "record generator seed")
     #: Admission depth while keeping up (shrinks to 1 under LAGGING).
     prefetch_batches: int = 2
-    #: LAGGING threshold: completion slip past the next batch's due
-    #: time, in batch intervals.
-    max_lag_intervals: float = 2.0
-    #: Sink JSONL path (``None`` = in-memory sink).
-    sink: Optional[str] = None
-    #: Streaming checkpoint directory (``None`` disables crash-safe
-    #: exactly-once recovery; the sink stays idempotent regardless).
-    checkpoint_dir: Optional[str] = None
-    #: Resume from the checkpoint in ``checkpoint_dir`` if one exists
-    #: (otherwise start fresh — idempotent restart semantics).
-    resume: bool = False
+    max_lag_intervals: float = _flag(
+        2.0, "LAGGING threshold in batch intervals",
+        flag="--max-lag", metavar="INTERVALS")
+    sink: Optional[str] = _flag(
+        None, "append sink rows to this JSONL file (default: in-memory)",
+        metavar="FILE")
+    checkpoint_dir: Optional[str] = _flag(
+        None, "crash-safe exactly-once streaming: checkpoint source "
+              "offsets + operator state here after every micro-batch "
+              "(SIGINT/SIGTERM then exit 75 resumable)", metavar="DIR")
+    resume: bool = _flag(
+        False, "resume from the checkpoint in --checkpoint-dir if one "
+               "exists")
     #: Offload-path configuration (fault schedule, policy, engine).
     runtime: RuntimeConfig = field(default_factory=RuntimeConfig)
 
@@ -305,30 +318,34 @@ class ServeConfig:
     the board fleet width, circuit breaking, and drain behaviour.
     """
 
-    #: Bounded per-tenant queue depth; a full queue sheds (OVERLOADED).
-    queue_depth: int = 64
-    #: Per-tenant weighted-round-robin weights; unlisted tenants get
-    #: ``default_weight``.  (Do not mutate the mapping after
-    #: construction — the config is conceptually frozen.)
-    tenant_weights: Mapping[str, int] = field(default_factory=dict)
+    queue_depth: int = _flag(
+        64, "bounded per-tenant queue depth; a full queue sheds "
+            "OVERLOADED")
+    # Do not mutate the mapping after construction — the config is
+    # conceptually frozen.
+    tenant_weights: Mapping[str, int] = _flag(
+        dict, "weighted-round-robin weight for a tenant (repeatable; "
+              "others get weight 1)",
+        flag="--tenant-weight", metavar="TENANT=W")
+    #: Weight of a tenant ``tenant_weights`` does not list.
     default_weight: int = 1
-    #: Virtual FPGA boards deployed per kernel (the fleet width).
-    replicas: int = 2
-    #: Registered device name the serve core compiles and explores
-    #: against (and the board model of a homogeneous fleet).
-    device: str = "xcvu9p"
-    #: Heterogeneous fleet: registered device names assigned to the
-    #: replicas of every kernel round-robin (replica ``i`` runs on
-    #: ``fleet_devices[i % len]``).  Empty = homogeneous on ``device``.
-    #: Placement is device-aware (fastest board first) but results stay
-    #: bit-identical to a homogeneous fleet under any fault schedule.
-    fleet_devices: tuple = ()
-    #: Default per-request deadline, virtual seconds (None: unbounded).
-    default_deadline_s: Optional[float] = None
-    #: Circuit breaker: consecutive hardware failures before a kernel's
-    #: circuit opens, and the virtual-seconds cooldown before a probe.
-    breaker_threshold: int = 3
-    breaker_reset_s: float = 0.5
+    replicas: int = _flag(2, "virtual boards per kernel")
+    device: str = _flag("xcvu9p", _device_help, metavar="NAME")
+    fleet_devices: tuple = _flag(
+        (), "heterogeneous board fleet: comma-separated registered "
+            "device names assigned to replicas round-robin "
+            "(placement/timing only; results stay bit-identical)",
+        metavar="A,B,C")
+    default_deadline_s: Optional[float] = _flag(
+        None, "default per-request deadline in virtual seconds "
+              "(default: unbounded)",
+        flag="--default-deadline", metavar="SECONDS")
+    breaker_threshold: int = _flag(
+        3, "consecutive hardware failures before a kernel's circuit "
+           "opens")
+    breaker_reset_s: float = _flag(
+        0.5, "circuit cooldown in virtual seconds before a half-open "
+             "probe", flag="--breaker-reset")
     #: Virtual time budget for ``explore=True`` requests (DSE minutes).
     explore_time_limit_minutes: float = 20.0
     #: Grace period (real seconds) for the in-flight request to finish

@@ -16,16 +16,14 @@ cross-checks every kernel on all four engines, and the equivalence
 batteries in ``tests/jvm/test_tac_equivalence.py`` /
 ``tests/fpga/test_flat_equivalence.py`` pin bit-identity.
 
-Selection precedence: an explicit ``engine=`` argument beats the
-``S2FA_ENGINE`` environment variable beats the default (``"tac"``).
-Both names are deliberately JVM-flavoured — ``"tac"`` selects the
+An explicit ``engine=`` argument selects; without one the default
+(``"tac"``) runs.  Both names are deliberately JVM-flavoured — ``"tac"`` selects the
 flattened engine and ``"stack"`` the original one on *both* paths, so
 one knob switches the whole pipeline.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 from .errors import S2FAError
@@ -36,24 +34,19 @@ ENGINES = ("tac", "stack")
 
 DEFAULT_ENGINE = "tac"
 
-#: Environment override consulted when no explicit ``engine=`` is given.
-ENGINE_ENV = "S2FA_ENGINE"
-
 
 def resolve_engine(engine: Optional[str] = None) -> str:
-    """The effective engine name: explicit > ``$S2FA_ENGINE`` > default.
+    """The effective engine name (``None`` -> :data:`DEFAULT_ENGINE`).
 
-    Raises :class:`~repro.errors.S2FAError` on an unknown name (from
-    either source) so a bad knob fails loudly at construction time.
+    Raises :class:`~repro.errors.S2FAError` on an unknown name so a bad
+    knob fails loudly at construction time.
     """
-    origin = "engine"
     if engine is None:
-        engine = os.environ.get(ENGINE_ENV) or DEFAULT_ENGINE
-        origin = ENGINE_ENV
+        return DEFAULT_ENGINE
     name = str(engine).lower()
     if name not in ENGINES:
         raise S2FAError(
-            f"unknown execution engine {engine!r} (from {origin}); "
+            f"unknown execution engine {engine!r}; "
             f"expected one of: {', '.join(ENGINES)}")
     return name
 

@@ -4,10 +4,7 @@
 registry threaded through every pipeline layer (Scala frontend -> lift ->
 Merlin -> HLS estimation -> DSE -> Blaze runtime).  Spans carry the stage
 name, wall-clock durations, virtual-clock attributions, and structured
-attributes (design point key, board id, cache hit/miss, retry count);
-they nest across process boundaries by shipping a :class:`TraceContext`
-to the other side and merging the spans it exports on return
-(:meth:`Tracer.absorb`).
+attributes (design point key, board id, cache hit/miss, retry count).
 
 The two tracer implementations share one protocol:
 
@@ -30,9 +27,7 @@ from .span import (  # noqa: F401
     NULL_TRACER,
     NullTracer,
     Span,
-    TraceContext,
     Tracer,
-    worker_tracer,
 )
 from .export import (  # noqa: F401
     chrome_trace_document,
@@ -52,8 +47,6 @@ __all__ = [
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
-    "TraceContext",
-    "worker_tracer",
     "chrome_trace_document",
     "write_chrome_trace",
     "write_jsonl",

@@ -8,8 +8,7 @@ Two on-disk formats, one in-memory model (:class:`~repro.obs.span.Span`):
 * **Chrome trace JSON** — the ``trace_event`` "JSON Object Format"
   (``{"traceEvents": [...]}``) with complete (``"ph": "X"``) events,
   loadable directly in ``chrome://tracing`` or Perfetto.  Span
-  attributes become event ``args``; worker-side spans land on their own
-  thread lane (``tid`` = worker pid).
+  attributes become event ``args``.
 
 :func:`validate_chrome_trace` checks the schema the CI smoke step (and
 ``s2fa trace summarize``) relies on; :func:`load_trace` reads either
@@ -23,10 +22,12 @@ import math
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
-from .span import Span, Tracer, span_from_dict
+from .span import Span, Tracer
 
-#: ``pid`` used for every event (one trace == one logical process).
+#: ``pid`` / ``tid`` used for every event (one trace == one logical
+#: process, one lane).
 TRACE_PID = 1
+TRACE_TID = 0
 
 
 def _roots(source: Union[Tracer, Iterable[Span]]) -> list[Span]:
@@ -96,8 +97,7 @@ def chrome_trace_events(source: Union[Tracer, Iterable[Span]]
     """Complete (``ph=X``) events for every span, microsecond units."""
     events: list[dict] = []
 
-    def emit(span: Span, tid: int) -> None:
-        tid = int(span.attrs.get("worker_pid", tid))
+    def emit(span: Span) -> None:
         events.append({
             "name": span.name,
             "cat": span.name.split(".", 1)[0],
@@ -105,16 +105,16 @@ def chrome_trace_events(source: Union[Tracer, Iterable[Span]]
             "ts": round(span.start * 1e6, 3),
             "dur": round(span.duration * 1e6, 3),
             "pid": TRACE_PID,
-            "tid": tid,
+            "tid": TRACE_TID,
             "args": {k: _sanitize(v) for k, v in span.attrs.items()
                      if isinstance(v, (str, int, float, bool,
                                        type(None)))},
         })
         for child in span.children:
-            emit(child, tid)
+            emit(child)
 
     for root in _roots(source):
-        emit(root, 0)
+        emit(root)
     return events
 
 
@@ -129,17 +129,14 @@ def chrome_trace_document(source: Union[Tracer, Iterable[Span]],
                           metrics: Optional[dict] = None) -> dict:
     """The full trace document (events + thread names + metrics)."""
     events = chrome_trace_events(source)
-    tids = sorted({event["tid"] for event in events})
-    for tid in tids:
+    if events:
         events.append({
             "name": "thread_name", "ph": "M", "pid": TRACE_PID,
-            "tid": tid, "ts": 0,
-            "args": {"name": "host" if tid == 0
-                     else f"worker-{tid}"},
+            "tid": TRACE_TID, "ts": 0, "args": {"name": "host"},
         })
     events.append({
-        "name": "process_name", "ph": "M", "pid": TRACE_PID, "tid": 0,
-        "ts": 0, "args": {"name": "s2fa"},
+        "name": "process_name", "ph": "M", "pid": TRACE_PID,
+        "tid": TRACE_TID, "ts": 0, "args": {"name": "s2fa"},
     })
     document = {"traceEvents": events, "displayTimeUnit": "ms"}
     if metrics:

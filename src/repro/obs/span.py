@@ -1,4 +1,4 @@
-"""Hierarchical span tracing with cross-process propagation.
+"""Hierarchical span tracing.
 
 A :class:`Span` is one timed stage of the pipeline; spans nest, forming
 a forest per :class:`Tracer`.  Call sites open spans as context
@@ -15,14 +15,6 @@ span starts are comparable within one tracer.  Virtual-clock durations
 ride along as ordinary attributes (``vclock_seconds`` /
 ``vclock_minutes``) set by the instrumented layers.
 
-Cross-process spans: the host captures a :class:`TraceContext`
-(:meth:`Tracer.context`), ships it to a worker, the worker builds its
-own :class:`Tracer` via :func:`worker_tracer`, and returns
-``tracer.export()``; the host merges the serialized forest under its
-current span with :meth:`Tracer.absorb`, rebasing the worker's private
-epoch into the enclosing span's timeframe (durations are preserved
-exactly; only the offset moves).
-
 When tracing is disabled every instrumented call site receives
 :data:`NULL_TRACER`, whose ``span()`` hands back one shared inert
 handle — no allocation, no timestamping, no branching at the call site.
@@ -30,8 +22,6 @@ handle — no allocation, no timestamping, no branching at the call site.
 
 from __future__ import annotations
 
-import itertools
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -77,41 +67,6 @@ class Span:
         for child in self.children:
             yield from child.walk()
 
-    def to_dict(self) -> dict:
-        """Recursive JSON-serializable form (see :func:`span_from_dict`)."""
-        return {
-            "name": self.name,
-            "start": self.start,
-            "end": self.end,
-            "attrs": dict(self.attrs),
-            "children": [child.to_dict() for child in self.children],
-        }
-
-
-def span_from_dict(data: dict) -> Span:
-    """Inverse of :meth:`Span.to_dict`."""
-    return Span(
-        name=str(data["name"]),
-        start=float(data["start"]),
-        end=None if data.get("end") is None else float(data["end"]),
-        attrs=dict(data.get("attrs", {})),
-        children=[span_from_dict(c) for c in data.get("children", [])],
-    )
-
-
-@dataclass(frozen=True)
-class TraceContext:
-    """Serializable link between a host span and worker-side tracers.
-
-    ``path`` names the host's open span stack at capture time, so a
-    worker (or a log reader) can tell which stage dispatched it even
-    before its spans are merged back.
-    """
-
-    trace_id: str
-    path: tuple[str, ...] = ()
-    enabled: bool = True
-
 
 class _SpanHandle:
     """Context manager that opens one span on enter, closes on exit."""
@@ -151,9 +106,6 @@ class _SpanHandle:
         return False
 
 
-_TRACE_IDS = itertools.count(1)
-
-
 class Tracer:
     """Recording tracer: a span forest plus a metrics registry.
 
@@ -166,15 +118,13 @@ class Tracer:
     enabled = True
 
     def __init__(self, *, clock: Optional[Callable[[], float]] = None,
-                 metrics: Optional[MetricsRegistry] = None,
-                 trace_id: Optional[str] = None):
+                 metrics: Optional[MetricsRegistry] = None):
         self._clock = clock or time.perf_counter
         self._epoch = self._clock()
         self.roots: list[Span] = []
         self._local = threading.local()
         self._forest_lock = threading.Lock()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.trace_id = trace_id or f"{os.getpid()}-{next(_TRACE_IDS)}"
 
     # ------------------------------------------------------------------
 
@@ -202,59 +152,6 @@ class Tracer:
         """Depth-first iteration over every recorded span."""
         for root in self.roots:
             yield from root.walk()
-
-    # ------------------------------------------------------------------
-    # Cross-process propagation
-    # ------------------------------------------------------------------
-
-    def context(self) -> TraceContext:
-        """Capture a serializable context to ship to a worker."""
-        return TraceContext(
-            trace_id=self.trace_id,
-            path=tuple(span.name for span in self._stack))
-
-    def export(self) -> list[dict]:
-        """The whole span forest as JSON-serializable dicts."""
-        return [root.to_dict() for root in self.roots]
-
-    def absorb(self, payload: Optional[list[dict]], *,
-               rebase: bool = True, **attrs) -> list[Span]:
-        """Merge a worker's exported span forest under the current span.
-
-        Worker tracers measure on their own epoch; with ``rebase`` the
-        forest is shifted so its earliest span starts where the host's
-        enclosing span started (falling back to the host's "now"),
-        keeping every duration exact.  ``attrs`` are applied to the
-        absorbed top-level spans (e.g. ``worker_pid=...``).
-        """
-        if not payload:
-            return []
-        spans = [span_from_dict(item) for item in payload]
-        if rebase:
-            earliest = min(span.start for span in spans)
-            parent = self.current
-            base = parent.start if parent is not None else self._now()
-            offset = base - earliest
-            for span in spans:
-                _shift(span, offset)
-        parent = self.current
-        for span in spans:
-            if attrs:
-                span.set(**attrs)
-        if parent is not None:
-            parent.children.extend(spans)
-        else:
-            with self._forest_lock:
-                self.roots.extend(spans)
-        return spans
-
-
-def _shift(span: Span, offset: float) -> None:
-    span.start += offset
-    if span.end is not None:
-        span.end += offset
-    for child in span.children:
-        _shift(child, offset)
 
 
 class _NullSpan:
@@ -286,7 +183,6 @@ class NullTracer:
 
     enabled = False
     metrics = NULL_METRICS
-    trace_id = "off"
     current = None
 
     def span(self, name: str, **attrs) -> _NullSpan:
@@ -302,33 +198,9 @@ class NullTracer:
         """Empty iterator."""
         return iter(())
 
-    def context(self) -> Optional[TraceContext]:
-        """``None``: workers see tracing as disabled."""
-        return None
-
-    def export(self) -> list[dict]:
-        """Always empty."""
-        return []
-
-    def absorb(self, payload: Optional[list[dict]] = None, *,
-               rebase: bool = True, **attrs) -> list[Span]:
-        """Discard the payload."""
-        return []
-
 
 #: The default tracer at every instrumented call site.
 NULL_TRACER = NullTracer()
-
-
-def worker_tracer(ctx: Optional[TraceContext]) -> "Tracer | NullTracer":
-    """Build the tracer a worker process should record into.
-
-    ``None`` (or a disabled context) yields :data:`NULL_TRACER`, so the
-    worker-side hot path is identical to the host's disabled path.
-    """
-    if ctx is None or not ctx.enabled:
-        return NULL_TRACER
-    return Tracer(trace_id=ctx.trace_id)
 
 
 def resolve_tracer(tracer: Optional[Any]) -> Any:

@@ -124,23 +124,3 @@ class TestTracerConcurrency:
 
         _run_threads(worker, n=2)
         assert seen == {0: "w0", 1: "w1"}
-
-    def test_absorb_concurrent_with_spans(self):
-        tracer = Tracer()
-        payload = Tracer()
-        with payload.span("worker.task"):
-            pass
-        exported = payload.export()
-
-        def hammer(i):
-            for _ in range(200):
-                if i % 2:
-                    tracer.absorb(exported)
-                else:
-                    with tracer.span("host"):
-                        pass
-
-        _run_threads(hammer)
-        names = [s.name for s in tracer.iter_spans()]
-        assert names.count("worker.task") == (THREADS // 2) * 200
-        assert names.count("host") == (THREADS - THREADS // 2) * 200

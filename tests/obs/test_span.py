@@ -1,4 +1,4 @@
-"""Span tracer core: nesting, attrs, null path, cross-process merge."""
+"""Span tracer core: nesting, attrs, null path."""
 
 import pytest
 
@@ -6,11 +6,8 @@ from repro.obs import (
     NULL_METRICS,
     NULL_TRACER,
     MetricsRegistry,
-    NullTracer,
     Span,
-    TraceContext,
     Tracer,
-    worker_tracer,
 )
 
 
@@ -77,7 +74,7 @@ class TestNullTracer:
         with NULL_TRACER.span("anything", k=1) as span:
             span.set(a=2)
             span.add("n")
-        assert NULL_TRACER.export() == []
+        assert NULL_TRACER.roots == []
 
     def test_span_object_is_shared(self):
         # The disabled path must not allocate per call.
@@ -104,44 +101,6 @@ class TestNullTracer:
             with NULL_TRACER.span("hot", i=1) as span:
                 span.set(a=2)
         assert time.perf_counter() - start < 1.0
-
-
-class TestCrossProcess:
-    def test_context_round_trip(self):
-        tracer = Tracer()
-        with tracer.span("host"):
-            ctx = tracer.context()
-        assert isinstance(ctx, TraceContext)
-        assert ctx.enabled
-        child = worker_tracer(ctx)
-        assert isinstance(child, Tracer)
-        assert child.trace_id == tracer.trace_id
-
-    def test_disabled_context_yields_null(self):
-        assert NULL_TRACER.context() is None
-        assert isinstance(worker_tracer(None), NullTracer)
-        disabled = TraceContext(trace_id="t", enabled=False)
-        assert isinstance(worker_tracer(disabled), NullTracer)
-
-    def test_absorb_rebases_under_current_span(self):
-        worker = Tracer()
-        with worker.span("hls.estimate", cycles=7):
-            pass
-        payload = worker.export()
-        for span in payload:
-            span["attrs"]["worker_pid"] = 4242
-
-        host = Tracer()
-        with host.span("dse.batch") as batch:
-            absorbed = host.absorb(payload, point_key="k1")
-        assert [c.name for c in batch.children] == ["hls.estimate"]
-        child = batch.children[0]
-        assert child.attrs["worker_pid"] == 4242
-        assert child.attrs["point_key"] == "k1"
-        assert child.attrs["cycles"] == 7
-        # Rebasing puts the worker span inside the host span's window.
-        assert child.start >= batch.start
-        assert absorbed and absorbed[0] is child
 
 
 class TestMetricsRegistry:

@@ -1,9 +1,16 @@
 """CLI tests."""
 
+import argparse
+import dataclasses
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from repro import cli
 from repro.cli import (
     EXIT_ERROR,
     EXIT_FAILURE,
@@ -11,6 +18,13 @@ from repro.cli import (
     EXIT_OK,
     EXIT_USAGE,
     main,
+)
+from repro.config import (
+    DatasetConfig,
+    ExploreConfig,
+    RuntimeConfig,
+    ServeConfig,
+    StreamConfig,
 )
 
 KERNEL = """
@@ -35,6 +49,15 @@ def kernel_file(tmp_path):
     return str(path)
 
 
+def usage_error(capsys, argv) -> str:
+    """Run ``argv`` expecting a usage error: exit ``EXIT_USAGE`` (never
+    1, never a traceback); returns what reached stderr."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == EXIT_USAGE
+    return capsys.readouterr().err
+
+
 class TestCompileCommand:
     def test_emits_c(self, kernel_file, capsys):
         assert main(["compile", kernel_file]) == 0
@@ -48,9 +71,9 @@ class TestCompileCommand:
         assert main(["compile", str(path), "--pattern", "filter"]) == 0
         assert "(in_1 & 1) == 0" in capsys.readouterr().out
 
-    def test_missing_file(self):
-        with pytest.raises(SystemExit):
-            main(["compile", "/nonexistent.scala"])
+    def test_missing_file(self, capsys):
+        err = usage_error(capsys, ["compile", "/nonexistent.scala"])
+        assert "s2fa compile: error: no such kernel file" in err
 
     def test_length_options(self, tmp_path, capsys):
         path = tmp_path / "k.scala"
@@ -63,9 +86,12 @@ class K extends Accelerator[Array[Float], Float] {
         assert main(["compile", str(path), "--length", "in=4"]) == 0
         assert "i * 4" in capsys.readouterr().out
 
-    def test_bad_length_syntax(self, kernel_file):
-        with pytest.raises(SystemExit, match="path=N"):
-            main(["compile", kernel_file, "--length", "oops"])
+    def test_bad_length_syntax(self, kernel_file, capsys):
+        for value in ("oops", "in=abc"):
+            err = usage_error(
+                capsys, ["compile", kernel_file, "--length", value])
+            assert ("argument --length: expected NAME=INTEGER, "
+                    f"got '{value}'") in err
 
     def test_compile_error_reported(self, tmp_path, capsys):
         path = tmp_path / "bad.scala"
@@ -108,9 +134,9 @@ class TestInfoCommands:
         assert "expert manual design" in out
         assert "memory bound" in out
 
-    def test_report_unknown_app(self):
-        with pytest.raises(SystemExit, match="unknown app"):
-            main(["report", "Nope"])
+    def test_report_unknown_app(self, capsys):
+        err = usage_error(capsys, ["report", "Nope"])
+        assert "s2fa report: error: unknown app 'Nope'; known" in err
 
 
 class TestRunCommand:
@@ -143,9 +169,9 @@ class TestRunCommand:
             == EXIT_ERROR
         assert "unknown fault plan key" in capsys.readouterr().err
 
-    def test_run_unknown_app(self):
-        with pytest.raises(SystemExit, match="unknown app"):
-            main(["run", "Nope"])
+    def test_run_unknown_app(self, capsys):
+        err = usage_error(capsys, ["run", "Nope"])
+        assert "s2fa run: error: unknown app 'Nope'; known" in err
 
 
 class TestDseCommand:
@@ -179,9 +205,9 @@ class TestDseCommand:
         out = capsys.readouterr().out
         assert "accelerated tasks" in out
 
-    def test_dse_unknown_app(self):
-        with pytest.raises(SystemExit, match="unknown app"):
-            main(["dse", "Nope"])
+    def test_dse_unknown_app(self, capsys):
+        err = usage_error(capsys, ["dse", "Nope"])
+        assert "s2fa dse: error: unknown app 'Nope'; known" in err
 
 
 class TestDeviceFlags:
@@ -268,18 +294,21 @@ class TestTraceCommands:
         assert "Top 3 slowest spans" in out
         assert "Flamegraph" not in out
 
-    def test_summarize_missing_file(self):
-        with pytest.raises(SystemExit, match="no such trace file"):
-            main(["trace", "summarize", "/nonexistent.json"])
+    def test_summarize_missing_file(self, capsys):
+        err = usage_error(capsys,
+                          ["trace", "summarize", "/nonexistent.json"])
+        assert "s2fa trace summarize: error: no such trace file" in err
 
-    def test_summarize_rejects_invalid_chrome_trace(self, tmp_path):
+    def test_summarize_rejects_invalid_chrome_trace(self, tmp_path,
+                                                    capsys):
         import json
 
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(
             {"traceEvents": [{"ph": "X", "name": "a"}]}))
-        with pytest.raises(SystemExit, match="invalid Chrome trace"):
-            main(["trace", "summarize", str(bad)])
+        # The command line was fine; the file's content is not.
+        assert main(["trace", "summarize", str(bad)]) == EXIT_ERROR
+        assert "error: invalid Chrome trace" in capsys.readouterr().err
 
     def test_run_with_trace(self, tmp_path, capsys):
         trace = tmp_path / "run.json"
@@ -309,10 +338,21 @@ class TestExitCodes:
         assert excinfo.value.code == EXIT_USAGE
 
     def test_removed_jobs_flag_is_usage_error(self, kernel_file, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["explore", kernel_file, "--jobs", "2"])
-        assert excinfo.value.code == EXIT_USAGE
-        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+        err = usage_error(capsys, ["explore", kernel_file, "--jobs", "2"])
+        assert "unrecognized arguments: --jobs 2" in err
+
+    def test_removed_engine_flag_is_usage_error(self, capsys):
+        err = usage_error(capsys, ["run", "KMeans", "--engine", "stack"])
+        assert "unrecognized arguments: --engine stack" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["serve"], "s2fa serve: error: serve needs --socket"),
+        (["serve", "--simulate", "--tenant-weight", "a=x"],
+         "argument --tenant-weight: expected NAME=INTEGER, got 'a=x'"),
+        (["stream", "nope"],
+         "s2fa stream: error: unknown streaming app 'nope'")])
+    def test_handler_usage_errors_are_two(self, capsys, argv, message):
+        assert message in usage_error(capsys, argv)
 
     def test_pipeline_error_is_three(self, tmp_path, capsys):
         path = tmp_path / "bad.scala"
@@ -362,9 +402,9 @@ class TestFuzz:
         assert "entries replayed" in out
         assert "FAIL" not in out
 
-    def test_replay_only_requires_corpus(self):
-        with pytest.raises(SystemExit):
-            main(["fuzz", "--replay-only"])
+    def test_replay_only_requires_corpus(self, capsys):
+        err = usage_error(capsys, ["fuzz", "--replay-only"])
+        assert "s2fa fuzz: error: --replay-only requires --corpus" in err
 
     def test_failing_campaign_exits_one_and_writes_artifacts(
             self, tmp_path, capsys, monkeypatch):
@@ -389,3 +429,147 @@ class TestFuzz:
         assert "differential compare" in out
         assert "minimized to" in out
         assert any(corpus.glob("crash_*/regression.json"))
+
+
+# ----------------------------------------------------------------------
+# The parser is a view of the config dataclasses: these tests walk it
+# and the dataclasses together, so neither can drift from the other.
+# ----------------------------------------------------------------------
+
+CONFIGS = (ExploreConfig, DatasetConfig, RuntimeConfig, StreamConfig,
+           ServeConfig)
+
+#: Config fields deliberately without a flag.  A new field must either
+#: get one (``_flag`` in ``repro.config`` + the verb's ``_add_flags``
+#: list) or be named here.
+API_ONLY = {
+    (ExploreConfig, "workers"), (ExploreConfig, "max_partitions"),
+    (RuntimeConfig, "max_attempts"),
+    (RuntimeConfig, "batch_deadline_seconds"),
+    (RuntimeConfig, "backoff_base_seconds"),
+    (RuntimeConfig, "backoff_factor"),
+    (RuntimeConfig, "quarantine_base_seconds"),
+    (RuntimeConfig, "quarantine_factor"), (RuntimeConfig, "engine"),
+    (StreamConfig, "prefetch_batches"), (ServeConfig, "default_weight"),
+    (ServeConfig, "explore_time_limit_minutes"),
+    (ServeConfig, "drain_grace_s"),
+}
+
+#: argv value -> expected field value, where the field's type alone
+#: does not say what a valid value looks like.
+SAMPLES = {
+    "device": ("xcku060", "xcku060"),
+    "fault_plan": ("transient=0.1", "transient=0.1"),
+    "tenant_weights": ("alice=3", {"alice": 3}),
+    "fleet_devices": ("xcku060, xcvu9p", ("xcku060", "xcvu9p")),
+}
+
+
+def leaf_verbs(parser=None, path=()):
+    """``(argv prefix, leaf parser)`` for every verb that runs."""
+    parser = parser or cli.build_parser()
+    nested = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    if not nested:
+        yield list(path), parser
+        return
+    for name, child in nested[0].choices.items():
+        yield from leaf_verbs(child, path + (name,))
+
+
+def config_flags():
+    """One case per (leaf verb, config-backed flag)."""
+    for path, leaf in leaf_verbs():
+        positionals = ["x" for a in leaf._actions if not a.option_strings]
+        flags = {a.dest: a for a in leaf._actions if a.option_strings}
+        for dest, (owner, name) in leaf.get_default("fields").items():
+            yield pytest.param(
+                path + positionals, flags[dest], owner, name,
+                id=f"{'-'.join(path)}{flags[dest].option_strings[0]}")
+
+
+class TestParserIsAViewOfTheConfigs:
+    def test_thirteen_leaf_verbs_each_print_help(self, capsys):
+        verbs = [path for path, _ in leaf_verbs()]
+        assert len(verbs) == 13
+        for path in verbs:
+            with pytest.raises(SystemExit) as excinfo:
+                main(path + ["--help"])
+            assert excinfo.value.code == EXIT_OK
+            assert f"usage: s2fa {' '.join(path)}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, action, owner, name", config_flags())
+    def test_flag_lands_in_its_field(self, argv, action, owner, name):
+        parser = cli.build_parser()
+        default = getattr(owner(), name)
+        unset = cli._config(owner, parser.parse_args(argv))
+        assert getattr(unset, name) == default
+
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            given, expected = [flag], not default
+            if name == "resume" and owner is not DatasetConfig:
+                given += ["--checkpoint-dir", "ck"]
+        else:
+            text, expected = SAMPLES.get(name) or {
+                int: ("7", 7), float: ("0.25", 0.25),
+                None: ("x", "x")}[action.type]
+            given = [flag, text]
+        assert expected != default
+        args = parser.parse_args(argv + given)
+        assert getattr(cli._config(owner, args), name) == expected
+        if owner is RuntimeConfig:
+            # ...and rides along in every config that nests a runtime.
+            for outer in (StreamConfig, ServeConfig):
+                assert cli._config(outer, args).runtime \
+                    == cli._config(RuntimeConfig, args)
+
+    def test_every_field_has_a_flag_or_is_api_only(self):
+        reachable = {target for _, leaf in leaf_verbs()
+                     for target in leaf.get_default("fields").values()}
+        declared = {(cls, f.name) for cls in CONFIGS
+                    for f in dataclasses.fields(cls)
+                    if not dataclasses.is_dataclass(f.default_factory)}
+        assert reachable | API_ONLY == declared
+        assert not reachable & API_ONLY
+
+    def test_shown_default_is_the_field_default(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["stream", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        for name in ("batch_records", "total_records", "data_seed"):
+            assert f"(default {getattr(StreamConfig(), name)})" in out
+
+    @pytest.mark.parametrize("cls", CONFIGS, ids=lambda c: c.__name__)
+    def test_api_doc_table_matches_the_dataclass(self, cls):
+        """``docs/api.md``'s table for ``cls`` names every field with
+        ``repr(default)`` (a row may pair two fields: ``a / b``)."""
+        doc = (Path(__file__).resolve().parent.parent / "docs"
+               / "api.md").read_text()
+        table = doc[doc.index(f"\n`{cls.__name__}` ("):]
+        table = table[table.index("\n| `"):].split("\n\n")[0]
+        documented = {}
+        for row in table.strip().splitlines():
+            names, defaults = (re.findall(r"`([^`]*)`", cell)
+                               for cell in row.split("|")[1:3])
+            documented.update(zip(names, defaults, strict=True))
+
+        def shown(field):
+            factory = field.default_factory
+            if factory is dataclasses.MISSING:
+                return repr(field.default)
+            return (f"{factory.__name__}()"
+                    if dataclasses.is_dataclass(factory)
+                    else repr(factory()))
+        assert documented == {f.name: shown(f)
+                              for f in dataclasses.fields(cls)}
+
+    def test_building_the_parser_imports_no_subsystem(self):
+        probe = ("import sys, repro.cli; repro.cli.build_parser(); "
+                 "print([m for m in ('repro.serve', 'repro.streaming', "
+                 "'repro.dataset', 'repro.fuzz') if m in sys.modules])")
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run([sys.executable, "-c", probe], text=True,
+                              capture_output=True, check=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)))
+        assert done.stdout.strip() == "[]"

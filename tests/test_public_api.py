@@ -90,8 +90,6 @@ OBS = {
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
-    "TraceContext",
-    "worker_tracer",
     "chrome_trace_document",
     "write_chrome_trace",
     "write_jsonl",
