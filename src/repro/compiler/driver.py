@@ -3,8 +3,9 @@
 Orchestrates the whole frontend-to-C pipeline of Fig. 1:
 
 1. compile the mini-Scala source to JVM bytecode (``repro.scala``),
-2. instantiate the kernel class in the JVM interpreter to *bake* constant
-   field values (Blaze broadcast data becomes on-chip ROM),
+2. run the kernel class's constructor once on the stack-walking JVM
+   interpreter to *bake* constant field values (Blaze broadcast data
+   becomes on-chip ROM),
 3. flatten the ``Accelerator[In, Out]`` types into interface buffers,
 4. lift ``call`` (and any helper methods it invokes) from bytecode to C,
 5. insert the map/reduce template to form the batch ``kernel`` function,
@@ -16,13 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..engines import make_jvm_interpreter
 from ..errors import DecompileError, UnsupportedConstructError
 from ..hlsc.ast import CFunction, CKernel, Param
 from ..hlsc.analysis import label_kernel
 from ..jvm.classfile import ClassRegistry, JClass, JMethod
 from ..jvm.descriptors import slot_width
-from ..jvm.interpreter import JObject
+from ..jvm.interpreter import Interpreter, JObject
 from ..jvm.opcodes import INVOKE_OPS
 from ..jvm.stdlib import is_tuple_class
 from ..obs.span import NULL_TRACER
@@ -239,7 +239,9 @@ class KernelCompiler:
 
     def _bake_instance(self, registry: ClassRegistry,
                        class_name: str) -> JObject:
-        interp = make_jvm_interpreter(registry)
+        # ``<init>`` runs exactly once: walking its bytecode costs less
+        # than lowering it to TAC first (the table initialisers are long).
+        interp = Interpreter(registry)
         instance = interp.new_instance(class_name)
         interp.invoke(class_name, "<init>", [instance])
         return instance

@@ -196,6 +196,12 @@ class Lifter:
         self.return_expr: Optional[Expr] = None
         self._offset_to_index = {
             ins.offset: i for i, ins in enumerate(self.code)}
+        #: target offset -> indices of the ``goto``s jumping there,
+        #: ascending
+        self._gotos_to: dict[int, list[int]] = {}
+        for i, ins in enumerate(self.code):
+            if ins.mnemonic == "goto":
+                self._gotos_to.setdefault(ins.operands[0], []).append(i)
 
     # ------------------------------------------------------------------
 
@@ -221,10 +227,8 @@ class Lifter:
 
     def _back_edge_from(self, header: int, hi: int) -> Optional[int]:
         """Index of a ``goto`` in (header, hi) jumping back to ``header``."""
-        header_offset = self.code[header].offset
-        for j in range(hi - 1, header, -1):
-            instr = self.code[j]
-            if instr.mnemonic == "goto" and instr.operands[0] == header_offset:
+        for j in reversed(self._gotos_to.get(self.code[header].offset, ())):
+            if header < j < hi:
                 return j
         return None
 

@@ -9,12 +9,15 @@ The repo carries two implementations of each functional execution path:
   (:class:`~repro.fpga.flat.FlatKernelExecutor`) and the original tree
   walker (:class:`~repro.fpga.executor.KernelExecutor`).
 
-The flattened engines are the default everywhere (Blaze fallback, the
-FPGA board model, instance baking in the compiler, benchmarks); the
-stack/tree walkers survive as differential oracles — the fuzz oracle
-cross-checks every kernel on all four engines, and the equivalence
-batteries in ``tests/jvm/test_tac_equivalence.py`` /
-``tests/fpga/test_flat_equivalence.py`` pin bit-identity.
+The flattened engines are the default wherever code runs many times
+(Blaze fallback, the FPGA board model, benchmarks); the stack/tree
+walkers survive as differential oracles — the fuzz oracle cross-checks
+every kernel on all four engines, and the equivalence batteries in
+``tests/jvm/test_tac_equivalence.py`` /
+``tests/fpga/test_flat_equivalence.py`` pin bit-identity.  Code that
+runs exactly once — the kernel constructor the compiler bakes — runs on
+the stack walker, because lowering it to TAC costs more than the one
+run it would speed up.
 
 An explicit ``engine=`` argument selects; without one the default
 (``"tac"``) runs.  Both names are deliberately JVM-flavoured — ``"tac"`` selects the

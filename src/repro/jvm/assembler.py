@@ -13,7 +13,14 @@ from dataclasses import dataclass, field
 from ..errors import BytecodeError
 from .classfile import ACC_PUBLIC, ACC_STATIC, Instr, JMethod
 from .descriptors import parse_method_descriptor, slot_width
-from .opcodes import BRANCH_OPS, RETURN_OPS, spec
+from .opcodes import (
+    BRANCH_OPS,
+    BY_MNEMONIC,
+    RETURN_OPS,
+    TERMINATOR_OPS,
+    OpSpec,
+    spec,
+)
 
 #: Encoded size in bytes for each operand kind.
 _KIND_SIZES = {
@@ -38,29 +45,24 @@ def instr_size(mnemonic: str) -> int:
 
 
 @dataclass
-class _Pending:
-    """An instruction or label placeholder prior to offset resolution."""
-
-    mnemonic: str | None  # None marks a label definition
-    operands: tuple = ()
-    label: str | None = None
-
-
-@dataclass
 class CodeBuilder:
-    """Accumulates symbolic instructions and label definitions."""
+    """Accumulates symbolic instructions and label definitions.
 
-    items: list[_Pending] = field(default_factory=list)
+    ``items`` holds ``(mnemonic, operands)`` per instruction and
+    ``(None, label)`` per label definition, in program order.
+    """
+
+    items: list[tuple] = field(default_factory=list)
     _label_counter: int = 0
 
     def emit(self, mnemonic: str, *operands) -> None:
         """Append one instruction; validates the mnemonic eagerly."""
         spec(mnemonic)  # raises on unknown opcodes
-        self.items.append(_Pending(mnemonic, tuple(operands)))
+        self.items.append((mnemonic, operands))
 
     def label(self, name: str) -> None:
         """Define a label at the current position."""
-        self.items.append(_Pending(None, label=name))
+        self.items.append((None, name))
 
     def new_label(self, hint: str = "lbl") -> str:
         """Return a fresh label name (not yet placed)."""
@@ -117,7 +119,10 @@ def _field_stack_delta(mnemonic: str, descriptor: str) -> int:
 
 def stack_delta(instr: Instr) -> int:
     """Net operand-stack effect of one resolved instruction."""
-    sp = instr.spec
+    return _stack_delta(instr, instr.spec)
+
+
+def _stack_delta(instr: Instr, sp: OpSpec) -> int:
     if sp.stack_delta is not None:
         return sp.stack_delta
     if sp.kind == "method":
@@ -127,9 +132,8 @@ def stack_delta(instr: Instr) -> int:
     raise BytecodeError(f"cannot compute stack delta of {instr.mnemonic}")
 
 
-def _locals_touched(instr: Instr) -> int:
+def _locals_touched(instr: Instr, kind: str) -> int:
     """Highest local slot index (+width) referenced, or 0."""
-    kind = instr.spec.kind
     if kind == "local":
         width = 2 if instr.mnemonic[0] in ("l", "d") else 1
         return int(instr.operands[0]) + width
@@ -138,44 +142,52 @@ def _locals_touched(instr: Instr) -> int:
     return 0
 
 
-def _compute_max_stack(code: list[Instr]) -> int:
-    """Abstract-interpret stack depth over all paths; verify consistency."""
+def _compute_max_stack(code: list[Instr], specs: list[OpSpec]) -> int:
+    """Abstract-interpret stack depth over all paths; verify consistency.
+
+    Paths are walked depth-first, fall-through before branch target, so
+    the first inconsistency found is the same on every run.
+    """
     if not code:
         return 0
     index_by_offset = {instr.offset: i for i, instr in enumerate(code)}
-    depth_at: dict[int, int] = {}
+    end = len(code)
+    depth_at: list[int | None] = [None] * end
     worklist = [(0, 0)]
     max_depth = 0
     while worklist:
         index, depth = worklist.pop()
-        if index >= len(code):
-            raise BytecodeError("control flow falls off the end of the method")
-        known = depth_at.get(index)
-        if known is not None:
-            if known != depth:
+        while True:         # one straight-line run
+            if index >= end:
                 raise BytecodeError(
-                    f"inconsistent stack depth at offset "
-                    f"{code[index].offset}: {known} vs {depth}")
-            continue
-        depth_at[index] = depth
-        instr = code[index]
-        new_depth = depth + stack_delta(instr)
-        if new_depth < 0:
-            raise BytecodeError(
-                f"stack underflow at offset {instr.offset} "
-                f"({instr.mnemonic})")
-        max_depth = max(max_depth, new_depth)
-        if instr.mnemonic in RETURN_OPS:
-            continue
-        if instr.mnemonic in BRANCH_OPS:
-            target = instr.operands[0]
-            if target not in index_by_offset:
-                raise BytecodeError(f"branch to bad offset {target}")
-            worklist.append((index_by_offset[target], new_depth))
-            if instr.mnemonic != "goto":
-                worklist.append((index + 1, new_depth))
-        else:
-            worklist.append((index + 1, new_depth))
+                    "control flow falls off the end of the method")
+            known = depth_at[index]
+            if known is not None:
+                if known != depth:
+                    raise BytecodeError(
+                        f"inconsistent stack depth at offset "
+                        f"{code[index].offset}: {known} vs {depth}")
+                break
+            depth_at[index] = depth
+            instr = code[index]
+            depth += _stack_delta(instr, specs[index])
+            if depth < 0:
+                raise BytecodeError(
+                    f"stack underflow at offset {instr.offset} "
+                    f"({instr.mnemonic})")
+            if depth > max_depth:
+                max_depth = depth
+            mnemonic = instr.mnemonic
+            if mnemonic in RETURN_OPS:
+                break
+            if mnemonic in BRANCH_OPS:
+                target = instr.operands[0]
+                if target not in index_by_offset:
+                    raise BytecodeError(f"branch to bad offset {target}")
+                worklist.append((index_by_offset[target], depth))
+                if mnemonic == "goto":
+                    break
+            index += 1
     return max_depth
 
 
@@ -186,30 +198,33 @@ def assemble(name: str, descriptor: str, builder: CodeBuilder,
     ``extra_locals`` reserves slots beyond those implied by parameters and
     local-variable instructions (defensive headroom for temporaries).
     """
-    # First pass: assign offsets.
+    # First pass: assign offsets, looking each opcode up once
+    # (``CodeBuilder.emit`` has validated the mnemonic).
     offset = 0
     label_offsets: dict[str, int] = {}
     code: list[Instr] = []
-    for item in builder.items:
-        if item.mnemonic is None:
-            if item.label in label_offsets:
-                raise BytecodeError(f"duplicate label {item.label!r}")
-            label_offsets[item.label] = offset
+    specs: list[OpSpec] = []
+    for mnemonic, operands in builder.items:
+        if mnemonic is None:
+            if operands in label_offsets:
+                raise BytecodeError(f"duplicate label {operands!r}")
+            label_offsets[operands] = offset
         else:
-            instr = Instr(item.mnemonic, item.operands, offset)
-            code.append(instr)
-            offset += instr_size(item.mnemonic)
+            sp = BY_MNEMONIC[mnemonic]
+            code.append(Instr(mnemonic, operands, offset))
+            specs.append(sp)
+            offset += _KIND_SIZES[sp.kind]
 
     # Second pass: resolve branch labels to absolute offsets.
-    for instr in code:
-        if instr.spec.kind == "branch":
+    for instr, sp in zip(code, specs):
+        if sp.kind == "branch":
             (target,) = instr.operands
             if isinstance(target, str):
                 if target not in label_offsets:
                     raise BytecodeError(f"undefined label {target!r}")
                 instr.operands = (label_offsets[target],)
 
-    if not code or code[-1].mnemonic not in RETURN_OPS | {"goto"}:
+    if not code or code[-1].mnemonic not in TERMINATOR_OPS:
         raise BytecodeError(
             f"method {name} does not end with a return or goto")
 
@@ -217,13 +232,13 @@ def assemble(name: str, descriptor: str, builder: CodeBuilder,
     param_slots = parsed.param_slots + (0 if is_static else 1)
     max_locals = max(
         [param_slots + extra_locals]
-        + [_locals_touched(instr) for instr in code]
+        + [_locals_touched(instr, sp.kind) for instr, sp in zip(code, specs)]
     )
     method = JMethod(
         name=name,
         descriptor=descriptor,
         code=code,
-        max_stack=_compute_max_stack(code),
+        max_stack=_compute_max_stack(code, specs),
         max_locals=max_locals,
         access_flags=ACC_PUBLIC | (ACC_STATIC if is_static else 0),
     )

@@ -1,8 +1,9 @@
-"""Tokenizer for the mini-Scala subset."""
+"""Tokenizer for the mini-Scala subset: one compiled master regex."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from ..errors import ScalaSyntaxError
 
@@ -12,19 +13,35 @@ KEYWORDS = frozenset({
     "package", "override",
 })
 
-#: Multi-character operators, longest first so maximal munch works.
-_OPERATORS = [
-    "<-", "=>", "==", "!=", "<=", ">=", "&&", "||", "<<", ">>>", ">>",
-    "+", "-", "*", "/", "%", "<", ">", "=", "!", "&", "|", "^", "~",
-]
-
 _PUNCT = {"(": "LPAREN", ")": "RPAREN", "{": "LBRACE", "}": "RBRACE",
           "[": "LBRACKET", "]": "RBRACKET", ",": "COMMA", ":": "COLON",
           ";": "SEMI", ".": "DOT"}
 
+_STRING_ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", '"': '"', "'": "'",
+                   "0": "\0"}
+_CHAR_ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", "'": "'", "0": "\0"}
 
-@dataclass(frozen=True)
-class Token:
+#: One alternative per token class, tried in order at each position.
+#: Numbers are ASCII digits only (as in scalac); ``\w`` is exactly
+#: ``str.isalnum()`` plus ``_``.  Operators are listed longest first so
+#: maximal munch works, and an unclosed ``/*`` is not an operator.
+_TOKEN_RE = re.compile(r"""
+    (?P<space>[ \t\r]+)
+  | (?P<newline>\n[ \t\r]*)
+  | (?P<comment>//[^\n]*|/\*.*?\*/)
+  | (?P<ident>[^\W\d][\w$]*)
+  | (?P<punct>[()\[\]{},:;.])
+  | (?P<op>(?!/\*)(?:<-|=>|==|!=|<=|>=|&&|\|\||<<|>>>|>>|[-+*/%<>=!&|^~]))
+  | (?P<hex>0[xX][0-9a-fA-F]*)
+  | (?P<num>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?[fFdDlL]?)
+  | (?P<string>"(?:[^"\\\n]|\\[nt\\"'0])*")
+  | (?P<char>'(?:[^\\]|\\[nt\\'0])')
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
+_STRING_ESCAPE_RE = re.compile(r"\\(.)")
+
+
+class Token(NamedTuple):
     kind: str       # IDENT, INT, FLOAT, DOUBLE, STRING, CHAR, OP, kw, punct
     text: str
     value: object
@@ -35,183 +52,114 @@ class Token:
         return f"Token({self.kind}, {self.text!r}, {self.line}:{self.column})"
 
 
-class Lexer:
-    """Single-pass tokenizer with position tracking."""
+#: Builds a token without the Python-level ``Token.__new__`` call.
+_token = tuple.__new__
 
-    def __init__(self, source: str):
-        self.source = source
-        self.pos = 0
-        self.line = 1
-        self.column = 1
 
-    def _error(self, message: str) -> ScalaSyntaxError:
-        return ScalaSyntaxError(message, self.line, self.column)
+def _error(source: str, pos: int, message: str) -> ScalaSyntaxError:
+    line_start = source.rfind("\n", 0, pos) + 1
+    return ScalaSyntaxError(message, source.count("\n", 0, pos) + 1,
+                            pos - line_start + 1)
 
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos < len(self.source) and self.source[self.pos] == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-            self.pos += 1
 
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        return self.source[index] if index < len(self.source) else ""
-
-    def _skip_trivia(self) -> None:
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while self.pos < len(self.source) and not (
-                        self._peek() == "*" and self._peek(1) == "/"):
-                    self._advance()
-                if self.pos >= len(self.source):
-                    raise self._error("unterminated block comment")
-                self._advance(2)
-            else:
-                return
-
-    def _lex_number(self) -> Token:
-        line, column = self.line, self.column
-        start = self.pos
-        if self._peek() == "0" and self._peek(1) in ("x", "X"):
-            self._advance(2)
-            while self._peek() and self._peek() in "0123456789abcdefABCDEF":
-                self._advance()
-            text = self.source[start:self.pos]
-            return Token("INT", text, int(text, 16), line, column)
-        while self._peek().isdigit():
-            self._advance()
-        is_float = False
-        if self._peek() == "." and self._peek(1).isdigit():
-            is_float = True
-            self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        if self._peek() in ("e", "E") and (
-                self._peek(1).isdigit()
-                or (self._peek(1) in "+-" and self._peek(2).isdigit())):
-            is_float = True
-            self._advance()
-            if self._peek() in "+-":
-                self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        text = self.source[start:self.pos]
-        if self._peek() in ("f", "F"):
-            self._advance()
-            return Token("FLOAT", text + "f", float(text), line, column)
-        if self._peek() in ("d", "D"):
-            self._advance()
-            return Token("DOUBLE", text + "d", float(text), line, column)
-        if self._peek() in ("l", "L"):
-            if is_float:
-                raise self._error("long suffix on a fractional literal")
-            self._advance()
-            return Token("LONG", text + "L", int(text), line, column)
-        if is_float:
-            return Token("DOUBLE", text, float(text), line, column)
-        return Token("INT", text, int(text), line, column)
-
-    def _lex_string(self) -> Token:
-        line, column = self.line, self.column
-        self._advance()  # opening quote
-        chars: list[str] = []
-        while True:
-            ch = self._peek()
-            if not ch or ch == "\n":
-                raise self._error("unterminated string literal")
-            if ch == '"':
-                self._advance()
-                break
-            if ch == "\\":
-                self._advance()
-                escape = self._peek()
-                mapped = {"n": "\n", "t": "\t", "\\": "\\", '"': '"',
-                          "'": "'", "0": "\0"}.get(escape)
-                if mapped is None:
-                    raise self._error(f"bad escape \\{escape}")
-                chars.append(mapped)
-                self._advance()
-            else:
-                chars.append(ch)
-                self._advance()
-        text = "".join(chars)
-        return Token("STRING", text, text, line, column)
-
-    def _lex_char(self) -> Token:
-        line, column = self.line, self.column
-        self._advance()  # opening quote
-        ch = self._peek()
+def _literal_error(source: str, pos: int) -> ScalaSyntaxError:
+    """The error for a malformed string/char literal starting at ``pos``
+    (scanned again character by character: only errors come here)."""
+    quote = source[pos]
+    escapes = _STRING_ESCAPES if quote == '"' else _CHAR_ESCAPES
+    pos += 1
+    while True:
+        ch = source[pos:pos + 1]
         if ch == "\\":
-            self._advance()
-            escape = self._peek()
-            mapped = {"n": "\n", "t": "\t", "\\": "\\", "'": "'",
-                      "0": "\0"}.get(escape)
-            if mapped is None:
-                raise self._error(f"bad escape \\{escape}")
-            ch = mapped
-        self._advance()
-        if self._peek() != "'":
-            raise self._error("unterminated char literal")
-        self._advance()
-        return Token("CHAR", ch, ord(ch), line, column)
-
-    def tokens(self) -> list[Token]:
-        """Tokenize the whole source."""
-        result: list[Token] = []
-        while True:
-            self._skip_trivia()
-            if self.pos >= len(self.source):
-                result.append(Token("EOF", "", None, self.line, self.column))
-                return result
-            ch = self._peek()
-            line, column = self.line, self.column
-            if ch.isdigit():
-                result.append(self._lex_number())
-                continue
-            if ch == '"':
-                result.append(self._lex_string())
-                continue
-            if ch == "'":
-                result.append(self._lex_char())
-                continue
-            if ch.isalpha() or ch == "_":
-                start = self.pos
-                while self._peek().isalnum() or self._peek() in ("_", "$"):
-                    self._advance()
-                text = self.source[start:self.pos]
-                kind = text if text in KEYWORDS else "IDENT"
-                value: object = text
-                if text == "true":
-                    kind, value = "BOOL", True
-                elif text == "false":
-                    kind, value = "BOOL", False
-                result.append(Token(kind, text, value, line, column))
-                continue
-            if ch in _PUNCT:
-                self._advance()
-                result.append(Token(_PUNCT[ch], ch, ch, line, column))
-                continue
-            matched = False
-            for op in _OPERATORS:
-                if self.source.startswith(op, self.pos):
-                    self._advance(len(op))
-                    result.append(Token("OP", op, op, line, column))
-                    matched = True
-                    break
-            if not matched:
-                raise self._error(f"unexpected character {ch!r}")
+            pos += 1
+            escape = source[pos:pos + 1]
+            if escape not in escapes:
+                return _error(source, pos, f"bad escape \\{escape}")
+        elif quote == '"' and ch in ("", "\n"):
+            return _error(source, pos, "unterminated string literal")
+        pos += 1
+        if quote == "'":
+            return _error(source, pos, "unterminated char literal")
 
 
 def tokenize(source: str) -> list[Token]:
-    """Convenience wrapper."""
-    return Lexer(source).tokens()
+    """Tokenize the whole source; the list always ends with ``EOF``."""
+    tokens: list[Token] = []
+    append = tokens.append
+    line, line_start = 1, 0
+    for match in _TOKEN_RE.finditer(source):
+        group = match.lastgroup
+        if group == "space":
+            continue
+        start = match.start()
+        if group == "newline":
+            line, line_start = line + 1, start + 1
+            continue
+        text = match.group()
+        if group == "comment":
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = start + text.rindex("\n") + 1
+            continue
+        column = start - line_start + 1
+        if group == "ident":
+            if text in KEYWORDS:
+                if text == "true" or text == "false":
+                    append(_token(Token, ("BOOL", text, text == "true",
+                                          line, column)))
+                else:
+                    append(_token(Token, (text, text, text, line, column)))
+            elif text[0] == "_" or text[0].isalpha():
+                append(_token(Token, ("IDENT", text, text, line, column)))
+            else:       # '²' is a \w but starts no token
+                raise _error(source, start,
+                             f"unexpected character {text[0]!r}")
+        elif group == "punct":
+            append(_token(Token, (_PUNCT[text], text, text, line, column)))
+        elif group == "op":
+            append(_token(Token, ("OP", text, text, line, column)))
+        elif group == "num":
+            suffix = text[-1]
+            digits = text[:-1] if suffix in "fFdDlL" else text
+            fractional = "." in digits or "e" in digits or "E" in digits
+            if suffix in "fF":
+                token = ("FLOAT", digits + "f", float(digits))
+            elif suffix in "dD":
+                token = ("DOUBLE", digits + "d", float(digits))
+            elif suffix in "lL":
+                if fractional:
+                    raise _error(source, match.end() - 1,
+                                 "long suffix on a fractional literal")
+                token = ("LONG", digits + "L", int(digits))
+            elif fractional:
+                token = ("DOUBLE", text, float(text))
+            else:
+                token = ("INT", text, int(text))
+            append(_token(Token, token + (line, column)))
+        elif group == "hex":
+            if len(text) == 2:
+                raise _error(source, start,
+                             f"hex literal {text!r} has no digits")
+            append(_token(Token, ("INT", text, int(text, 16), line, column)))
+        elif group == "string":
+            body = text[1:-1]
+            if "\\" in body:
+                body = _STRING_ESCAPE_RE.sub(
+                    lambda m: _STRING_ESCAPES[m.group(1)], body)
+            append(_token(Token, ("STRING", body, body, line, column)))
+        elif group == "char":
+            body = text[1:-1]
+            char = _CHAR_ESCAPES[body[1]] if len(body) == 2 else body
+            append(_token(Token, ("CHAR", char, ord(char), line, column)))
+            if char == "\n" and len(body) == 1:     # a raw line break
+                line, line_start = line + 1, match.end() - 1
+        elif text in "\"'":
+            raise _literal_error(source, start)
+        elif source.startswith("/*", start):
+            raise _error(source, len(source), "unterminated block comment")
+        else:
+            raise _error(source, start, f"unexpected character {text!r}")
+    append(_token(Token, ("EOF", "", None, line,
+                          len(source) - line_start + 1)))
+    return tokens

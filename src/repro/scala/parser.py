@@ -1,4 +1,5 @@
-"""Recursive-descent parser for the mini-Scala subset."""
+"""Recursive-descent parser for the mini-Scala subset; binary operators
+are parsed by precedence climbing over one operator -> level table."""
 
 from __future__ import annotations
 
@@ -19,6 +20,11 @@ _PRECEDENCE = [
     ["+", "-"],
     ["*", "/", "%"],
 ]
+_LEVEL = {op: level for level, ops in enumerate(_PRECEDENCE) for op in ops}
+
+_LITERAL_TYPES = {"INT": types.INT, "LONG": types.LONG, "FLOAT": types.FLOAT,
+                  "DOUBLE": types.DOUBLE, "STRING": types.STRING,
+                  "CHAR": types.CHAR, "BOOL": types.BOOLEAN}
 
 
 class Parser:
@@ -30,9 +36,9 @@ class Parser:
 
     # -- token helpers -------------------------------------------------
 
-    def peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+    def peek(self) -> Token:
+        # ``advance`` never moves past the closing EOF token.
+        return self.tokens[self.pos]
 
     def advance(self) -> Token:
         token = self.tokens[self.pos]
@@ -41,7 +47,7 @@ class Parser:
         return token
 
     def at(self, kind: str, text: str | None = None) -> bool:
-        token = self.peek()
+        token = self.tokens[self.pos]
         return token.kind == kind and (text is None or token.text == text)
 
     def expect(self, kind: str, text: str | None = None) -> Token:
@@ -253,7 +259,7 @@ class Parser:
         self.expect("LPAREN")
         var = self.expect("IDENT").text
         self.expect("OP", "<-")
-        start = self.parse_expr_no_range()
+        start = self.parse_expr()
         if self.accept("until"):
             inclusive = False
         elif self.accept("to"):
@@ -263,7 +269,7 @@ class Parser:
             raise ScalaSyntaxError(
                 f"expected 'until' or 'to' in for-range, found "
                 f"{token.text!r}", token.line, token.column)
-        bound = self.parse_expr_no_range()
+        bound = self.parse_expr()
         self.expect("RPAREN")
         body = self.parse_expr()
         return sast.ForRange(var=var, start=start, bound=bound,
@@ -274,20 +280,18 @@ class Parser:
     def parse_expr(self) -> sast.Node:
         return self._parse_binary(0)
 
-    def parse_expr_no_range(self) -> sast.Node:
-        """Expression that stops before ``until``/``to`` keywords."""
-        return self._parse_binary(0)
-
-    def _parse_binary(self, level: int) -> sast.Node:
-        if level >= len(_PRECEDENCE):
-            return self.parse_unary()
-        lhs = self._parse_binary(level + 1)
-        while self.at("OP") and self.peek().text in _PRECEDENCE[level]:
-            pos = self._pos()
-            op = self.advance().text
+    def _parse_binary(self, min_level: int) -> sast.Node:
+        """Precedence climbing: operators at ``min_level`` or above."""
+        lhs = self.parse_unary()
+        while True:
+            token = self.tokens[self.pos]
+            level = _LEVEL.get(token.text, -1) if token.kind == "OP" else -1
+            if level < min_level:
+                return lhs
+            self.pos += 1
             rhs = self._parse_binary(level + 1)
-            lhs = sast.BinOp(op=op, lhs=lhs, rhs=rhs, pos=pos)
-        return lhs
+            lhs = sast.BinOp(op=token.text, lhs=lhs, rhs=rhs,
+                             pos=(token.line, token.column))
 
     def parse_unary(self) -> sast.Node:
         if self.at("OP") and self.peek().text in ("-", "!", "~"):
@@ -335,15 +339,10 @@ class Parser:
     def parse_primary(self) -> sast.Node:
         pos = self._pos()
         token = self.peek()
-        if token.kind in ("INT", "LONG", "FLOAT", "DOUBLE", "STRING",
-                          "CHAR", "BOOL"):
+        if token.kind in _LITERAL_TYPES:
             self.advance()
             lit = sast.Lit(value=token.value, pos=pos)
-            lit.tpe = {
-                "INT": types.INT, "LONG": types.LONG, "FLOAT": types.FLOAT,
-                "DOUBLE": types.DOUBLE, "STRING": types.STRING,
-                "CHAR": types.CHAR, "BOOL": types.BOOLEAN,
-            }[token.kind]
+            lit.tpe = _LITERAL_TYPES[token.kind]
             return lit
         if self.at("if"):
             self.advance()

@@ -140,7 +140,7 @@ class TestConstHelpers:
         b.load_const_int(100)
         b.load_const_int(30000)
         b.load_const_int(1 << 20)
-        mnemonics = [p.mnemonic for p in b.items]
+        mnemonics = [mnemonic for mnemonic, _ in b.items]
         assert mnemonics == ["iconst_3", "bipush", "sipush", "ldc"]
 
     def test_instr_size(self):

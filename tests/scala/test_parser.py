@@ -157,3 +157,89 @@ import org.apache.spark.SparkContext
 def f(a: Int): Int = a
 """)
         assert len(program.functions) == 1
+
+
+#: Binary operators low to high, one representative list per level.
+LEVELS = [["||"], ["&&"], ["|"], ["^"], ["&"], ["==", "!="],
+          ["<", "<=", ">", ">="], ["<<", ">>", ">>>"], ["+", "-"],
+          ["*", "/", "%"]]
+
+
+def render(node):
+    """Fully parenthesized form of an expression AST."""
+    if isinstance(node, sast.BinOp):
+        return f"({render(node.lhs)} {node.op} {render(node.rhs)})"
+    if isinstance(node, sast.UnOp):
+        return f"({node.op}{render(node.operand)})"
+    if isinstance(node, sast.Ident):
+        return node.name
+    if isinstance(node, sast.Lit):
+        return repr(node.value)
+    if isinstance(node, sast.Apply):
+        return f"{render(node.fn)}({', '.join(map(render, node.args))})"
+    raise AssertionError(f"unexpected node {node!r}")
+
+
+def body_of(expr_src):
+    program = parse(f"def f(a: Int, b: Int, c: Int): Int = {expr_src}")
+    return program.functions[0].body
+
+
+class TestPrecedenceTable:
+    @pytest.mark.parametrize("op", [op for ops in LEVELS for op in ops])
+    def test_left_associative(self, op):
+        assert render(body_of(f"a {op} b {op} c")) \
+            == f"((a {op} b) {op} c)"
+
+    @pytest.mark.parametrize("ops", LEVELS)
+    def test_same_level_mixes_left_to_right(self, ops):
+        first, last = ops[0], ops[-1]
+        assert render(body_of(f"a {last} b {first} c")) \
+            == f"((a {last} b) {first} c)"
+
+    @pytest.mark.parametrize("low, high", [
+        (low, high)
+        for i, lows in enumerate(LEVELS) for low in lows
+        for highs in LEVELS[i + 1:] for high in highs])
+    def test_higher_level_binds_tighter(self, low, high):
+        assert render(body_of(f"a {low} b {high} c")) \
+            == f"(a {low} (b {high} c))"
+        assert render(body_of(f"a {high} b {low} c")) \
+            == f"((a {high} b) {low} c)"
+
+    @pytest.mark.parametrize("source, expected", [
+        ("-a * b", "((-a) * b)"),
+        ("!a && b", "((!a) && b)"),
+        ("~a & b", "((~a) & b)"),
+        ("- - a", "(-(-a))"),
+        ("a - -b", "(a - (-b))"),
+        ("!a == !b", "((!a) == (!b))"),
+        ("a * (b + c)", "(a * (b + c))"),
+        ("a(0) + b * -c || a < b", "((a(0) + (b * (-c))) || (a < b))"),
+        ("a + b == c && a | b ^ c & a << 1 >= b",
+         "((a + b) == c) && (a | (b ^ (c & ((a << 1) >= b))))"
+         .join("()")),
+    ])
+    def test_unary_and_mixed(self, source, expected):
+        assert render(body_of(source)) == expected
+
+    def test_binop_position_is_the_operator(self):
+        body = body_of("a +\n  b * c")
+        assert body.pos == (1, 40)
+        assert body.rhs.pos == (2, 5)
+        assert body.lhs.pos == (1, 38) and body.rhs.rhs.pos == (2, 7)
+
+    def test_for_range_bounds_stop_at_until_and_to(self):
+        program = parse("""
+def f(a: Int): Int = {
+  var s = 0
+  for (i <- a + 1 until a * 2 + 3) { s = s + i }
+  for (j <- -a to a << 1) { s = s + j }
+  s
+}
+""")
+        first, second = program.functions[0].body.stmts[1:3]
+        assert (render(first.start), render(first.bound)) \
+            == ("(a + 1)", "((a * 2) + 3)")
+        assert (render(second.start), render(second.bound)) \
+            == ("(-a)", "(a << 1)")

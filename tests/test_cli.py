@@ -99,6 +99,15 @@ class K extends Accelerator[Array[Float], Float] {
         assert main(["compile", str(path)]) == EXIT_ERROR
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("literal", ["0x", "0xG", "²"])
+    def test_malformed_literal_is_a_syntax_error(self, tmp_path, capsys,
+                                                 literal):
+        path = tmp_path / "bad.scala"
+        path.write_text("class K extends Accelerator[Int, Int] {\n"
+                        f"  def call(x: Int): Int = x + {literal}\n}}\n")
+        assert main(["compile", str(path)]) == EXIT_ERROR
+        assert "at line 2, column 31" in capsys.readouterr().err
+
 
 class TestExploreCommand:
     def test_explore_summary(self, kernel_file, capsys):
