@@ -37,10 +37,11 @@ from .errors import ExplorationInterrupted, S2FAError, StreamInterrupted
 # * EXIT_USAGE       — bad command line (argparse's own convention);
 # * EXIT_ERROR       — an :class:`~repro.errors.S2FAError` (compile,
 #                      DSE, or runtime failure);
-# * EXIT_INTERRUPTED — the exploration was interrupted *after* flushing
-#                      a checkpoint: rerun with ``--resume`` to finish
-#                      (the value is BSD's EX_TEMPFAIL, the conventional
-#                      "transient failure, retry" code).
+# * EXIT_INTERRUPTED — the run stopped at a batch boundary with its
+#                      progress durable: rerun ``explore`` with the same
+#                      ``--cache-dir`` (``stream`` with ``--resume``) to
+#                      finish (the value is BSD's EX_TEMPFAIL, the
+#                      conventional "transient failure, retry" code).
 # ----------------------------------------------------------------------
 
 EXIT_OK = 0
@@ -152,8 +153,6 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 def _print_explore_summary(build, run) -> None:
     print(f"accelerator id    : {build.accel_id}")
-    if run.resumed:
-        print("resumed           : from checkpoint")
     print(f"design space      : {build.space.size():,} points")
     print(f"HLS evaluations   : {run.evaluations} "
           f"({run.termination_minutes:.0f} virtual minutes, "
@@ -610,8 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kernel")
     _add_shared(p, "--length", "--pattern", "--batch-size")
     _add_flags(p, ExploreConfig, "seed", "time_limit_minutes", "cache_dir",
-               "device", "checkpoint_dir", "resume", "surrogate",
-               "prune_fraction")
+               "device", "surrogate", "prune_fraction")
     p.add_argument("--emit-c", action="store_true",
                    help="print the annotated HLS C")
     p.add_argument("--json", metavar="FILE",
@@ -633,8 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="QoR bar for --devices: best design must reach "
                         "this normalized cycle count or better "
                         "(default: any feasible design)")
-    _add_flags(p, ExploreConfig, "checkpoint_dir", "resume", "surrogate",
-               "prune_fraction")
+    _add_flags(p, ExploreConfig, "surrogate", "prune_fraction")
     _add_shared(p, "--tasks", "--data-seed")
     _add_flags(p, RuntimeConfig, "partitions")
     _add_shared(p, "--metrics", "--trace")

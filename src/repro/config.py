@@ -51,7 +51,9 @@ class ExploreConfig:
     """Knobs of ``session.explore`` (compile + design space exploration).
 
     ``cache_dir`` enables the persistent evaluation cache so repeated
-    explorations of the same kernel skip re-estimation.
+    explorations of the same kernel skip re-estimation.  It is also how
+    an interrupted exploration resumes: rerun it with the same
+    ``cache_dir`` and it replays to the identical result.
     """
 
     seed: int = _flag(
@@ -62,19 +64,10 @@ class ExploreConfig:
     workers: int = 8
     cache_dir: Optional[str] = _flag(
         None, "persistent evaluation cache directory (repeated runs "
-              "skip re-estimation)", metavar="DIR")
+              "skip re-estimation; SIGINT/SIGTERM then exit 75, and a "
+              "rerun with the same DIR resumes)", metavar="DIR")
     #: Decision-tree partition budget (Section 4.3.1).
     max_partitions: int = 8
-    # A resume needs the cache to replay the killed batch without
-    # duplicate backend evaluations, hence the implied cache directory.
-    checkpoint_dir: Optional[str] = _flag(
-        None, "crash-safe exploration: journal the explorer state here "
-              "at every batch boundary (SIGINT/SIGTERM then exit 75 "
-              "with a resumable checkpoint); implies --cache-dir DIR "
-              "unless one is given", metavar="DIR")
-    resume: bool = _flag(
-        False, "resume from the checkpoint in --checkpoint-dir if one "
-               "exists (starts fresh otherwise)")
     surrogate: Optional[str] = _flag(
         None, "learned cost-model artifact (from 's2fa dataset train'); "
               "the engine prunes each proposal batch by its "
@@ -90,10 +83,6 @@ class ExploreConfig:
         if not 0.0 <= self.prune_fraction < 1.0:
             raise DSEError("prune_fraction must be in [0, 1), got "
                            f"{self.prune_fraction}")
-        if self.resume and not self.checkpoint_dir:
-            raise DSEError(
-                "resume=True needs checkpoint_dir (there is nowhere to "
-                "resume from)")
         if self.workers < 1:
             raise DSEError(f"workers must be >= 1, got {self.workers}")
         if self.max_partitions < 1:

@@ -7,11 +7,7 @@ from .cache import (  # noqa: F401
     kernel_digest,
     point_from_key,
 )
-from .checkpoint import (  # noqa: F401
-    CHECKPOINT_VERSION,
-    CheckpointStore,
-    validate_checkpoint,
-)
+from .checkpoint import CheckpointStore  # noqa: F401
 from .datuner import DATunerEngine  # noqa: F401
 from .engine import S2FAEngine  # noqa: F401
 from .exhaustive import (  # noqa: F401

@@ -177,10 +177,6 @@ class CacheStore:
     def size(self, digest: str) -> int:
         return len(self._table(digest))
 
-    def contains(self, digest: str, key: str) -> bool:
-        """Membership test; does not touch the hit/miss counters."""
-        return key in self._table(digest)
-
     def get(self, digest: str, key: str
             ) -> Optional[tuple[float, HLSResult]]:
         """Stored ``(synthesis_minutes, result)`` for a point, if any."""

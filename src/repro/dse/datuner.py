@@ -24,7 +24,6 @@ time budget).
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -125,8 +124,6 @@ class DATunerEngine:
         first = {"qor": float("inf"), "seen": False}
         active: list[_DynamicPartition] = [self._make_partition({}, [])]
         retired: list[_DynamicPartition] = []
-        #: round-robin queue of partitions wanting worker time
-        ready: deque = deque(active)
         evals_since_split = {"count": 0}
 
         def next_point(partition: _DynamicPartition):
@@ -172,12 +169,9 @@ class DATunerEngine:
                             for child in children:
                                 child.start_minutes = now
                                 active.append(child)
-                                ready.append(child)
                     if now < self.time_limit:
-                        # Allocate the freed worker to the best ready
+                        # Allocate the freed worker to the best active
                         # partition (more cores to higher QoR).
-                        if ready:
-                            ready.rotate(-1)
                         pool_target = partition
                         if partition not in active and active:
                             pool_target = min(active,

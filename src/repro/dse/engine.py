@@ -20,14 +20,14 @@ partition's own completion time.  A partition's tuner sequence depends
 only on its own history and evaluation is a pure function of the point,
 so the reported DSE minutes are a function of the seed alone.
 
-Crash safety: with a :class:`~repro.dse.checkpoint.CheckpointStore` the
-engine journals its complete state at every batch boundary (the event
-heap is empty and no partition is in flight there), and
-:meth:`S2FAEngine.resume` restores a killed run so that (cache +
-checkpoint) replays the bit-identical trajectory of an uninterrupted
-run.  :meth:`S2FAEngine.request_stop` arms a graceful stop: the current
-batch finishes, the checkpoint is flushed, and the run raises
-:class:`~repro.errors.ExplorationInterrupted`.
+Crash safety is replay: the exploration is a deterministic function of
+the seed and the configuration, and with a persistent
+:class:`~repro.dse.cache.CacheStore` every estimate survives a kill.
+Rerunning an interrupted exploration over the same store therefore
+reproduces the uninterrupted run's report, answering each point the
+killed run estimated from the store instead of the backend.
+:meth:`S2FAEngine.request_stop` arms a graceful stop: the current batch
+finishes and the run raises :class:`~repro.errors.ExplorationInterrupted`.
 """
 
 from __future__ import annotations
@@ -44,24 +44,7 @@ from ..durable import CHAOS_KILL_ENV, ChaosKill  # noqa: F401 (re-export)
 from ..errors import DSEError, ExplorationInterrupted
 from ..obs.span import NULL_TRACER
 from .bandit import BanditTuner
-from .checkpoint import (
-    CHECKPOINT_KIND,
-    CHECKPOINT_VERSION,
-    CheckpointStore,
-    evaluation_from_json,
-    evaluation_to_json,
-    evaluator_counters,
-    partition_from_json,
-    partition_to_json,
-    restore_evaluator_counters,
-    restore_stopping,
-    restore_tuner,
-    rng_state_from_json,
-    rng_state_to_json,
-    space_fingerprint,
-    stopping_to_json,
-    tuner_to_json,
-)
+from .checkpoint import CHECKPOINT_KIND, CheckpointStore
 from .cache import canonical_key
 from .evaluator import Evaluation, Evaluator, ExplorationTrace
 from .partition import Partition, build_partitions
@@ -113,7 +96,7 @@ class _PartitionState:
 
 @dataclass
 class _RunState:
-    """Everything the main loop mutates (and the checkpoint captures)."""
+    """Everything the main loop mutates."""
 
     states: list[_PartitionState]
     pending: deque
@@ -125,7 +108,6 @@ class _RunState:
     last_event: float = 0.0
     sequence: int = 0
     rounds: int = 0
-    resumed: bool = False
 
 
 class S2FAEngine:
@@ -197,51 +179,22 @@ class S2FAEngine:
     def request_stop(self) -> None:
         """Arm a graceful stop (signal-handler safe).
 
-        The in-flight batch finishes, its results are merged, the
-        checkpoint is flushed, and the run raises
-        :class:`~repro.errors.ExplorationInterrupted`.
+        The in-flight batch finishes, its results are merged, and the
+        run raises :class:`~repro.errors.ExplorationInterrupted`.
         """
         self._stop_requested = True
 
     # ------------------------------------------------------------------
-    # Entry points
+    # Entry point
     # ------------------------------------------------------------------
 
     def run(self) -> DSERun:
         """Execute the exploration (traced as one ``dse.run`` span)."""
-        return self._execute(resume=False)
-
-    def resume(self) -> DSERun:
-        """Continue a checkpointed exploration to completion.
-
-        Raises :class:`~repro.errors.DSEError` when no checkpoint exists
-        for this kernel digest or the checkpoint fails validation or does
-        not match this engine's configuration.
-        """
-        return self._execute(resume=True)
-
-    def _execute(self, resume: bool) -> DSERun:
         with self.tracer.span(
                 "dse.run", space_size=self.space.size(),
                 workers=self.workers,
                 time_limit_minutes=self.time_limit) as root:
-            if resume:
-                if self.checkpoint_store is None:
-                    raise DSEError(
-                        "resume requested but the engine has no "
-                        "checkpoint store")
-                payload = self.checkpoint_store.load(
-                    self.evaluator.kernel_digest)
-                if payload is None:
-                    raise DSEError(
-                        f"no checkpoint for kernel digest "
-                        f"{self.evaluator.kernel_digest} in "
-                        f"{self.checkpoint_store.directory}")
-                rs = self._restore_state(payload)
-                self.tracer.metrics.incr("dse.checkpoint.resumes")
-                root.set(resumed=True, resumed_at_round=rs.rounds)
-            else:
-                rs = self._fresh_state()
+            rs = self._fresh_state()
             self._loop(rs)
             run = self._finalize(rs)
             root.set(evaluations=run.evaluations,
@@ -253,10 +206,6 @@ class S2FAEngine:
                 self.tracer.metrics.gauge("dse.cache.hit_rate",
                                           stats.get("hit_rate", 0.0))
         return run
-
-    # ------------------------------------------------------------------
-    # State construction / restoration
-    # ------------------------------------------------------------------
 
     def _fresh_state(self) -> _RunState:
         partitions = self._make_partitions()
@@ -278,137 +227,6 @@ class S2FAEngine:
             self._start_partition(rs, 0.0)
         return rs
 
-    def _identity(self) -> dict:
-        """What a checkpoint must agree with to be resumable here."""
-        return {
-            "kernel_digest": self.evaluator.kernel_digest,
-            "space": space_fingerprint(self.space),
-            "seed": self.seed,
-            "workers": self.workers,
-            "time_limit_minutes": self.time_limit,
-            "max_partitions": self.max_partitions,
-            "use_partitioning": self.use_partitioning,
-            "use_seeds": self.use_seeds,
-            "stopping": type(self.stopping_factory()).__name__,
-            "frequency_aware": bool(
-                getattr(self.evaluator, "frequency_aware", True)),
-            "cost_model": self.evaluator.cost_model.identity(),
-            "surrogate": (self.surrogate.identity()
-                          if self.surrogate is not None else None),
-            "prune_fraction": (self.prune_fraction
-                               if self.surrogate is not None else None),
-        }
-
-    def _snapshot(self, rs: _RunState) -> dict:
-        """Checkpoint payload for a batch boundary (nothing in flight)."""
-        assert all(s.in_flight is None for s in rs.states), \
-            "checkpoint requested while evaluations are in flight"
-        index = {id(s): i for i, s in enumerate(rs.states)}
-        return {
-            "kind": CHECKPOINT_KIND,
-            "version": CHECKPOINT_VERSION,
-            "identity": self._identity(),
-            "rng": rng_state_to_json(self.rng),
-            "rounds": rs.rounds,
-            "sequence": rs.sequence,
-            "truncated": rs.truncated,
-            "last_event": rs.last_event,
-            "states": [
-                {
-                    "partition": partition_to_json(s.partition),
-                    "tuner": tuner_to_json(s.tuner),
-                    "stopping": stopping_to_json(s.stopping),
-                    "evaluations": s.evaluations,
-                    "stopped_early": s.stopped_early,
-                    "start_minutes": s.start_minutes,
-                    "end_minutes": s.end_minutes,
-                    "started": s.started,
-                    "free_at": s.free_at,
-                }
-                for s in rs.states
-            ],
-            "pending": [index[id(s)] for s in rs.pending],
-            "running": [index[id(s)] for s in rs.running],
-            # Pruned samples never enter the evaluator cache, so they
-            # carry their full payload inline (the 5th element); real
-            # samples are rebuilt from the cache section and carry null.
-            "samples": [[finish, order, canonical_key(e.point), e.cached,
-                         evaluation_to_json(e) if e.pruned else None]
-                        for finish, order, e in rs.samples],
-            "cache": [evaluation_to_json(e)
-                      for e in self.evaluator.cache_snapshot()],
-            "evaluator": evaluator_counters(self.evaluator),
-        }
-
-    def _restore_state(self, payload: dict) -> _RunState:
-        identity = self._identity()
-        saved = payload.get("identity", {})
-        mismatched = sorted(
-            key for key in set(identity) | set(saved)
-            if identity.get(key) != saved.get(key))
-        if mismatched:
-            detail = ", ".join(
-                f"{key}: checkpoint={saved.get(key)!r} "
-                f"run={identity.get(key)!r}" for key in mismatched)
-            raise DSEError(
-                f"checkpoint does not match this run's configuration "
-                f"({detail}); start a fresh run or restore the original "
-                f"settings")
-
-        states: list[_PartitionState] = []
-        for sdata in payload["states"]:
-            partition = partition_from_json(sdata["partition"])
-            subspace = partition.subspace(self.space)
-            tuner = BanditTuner(subspace, random.Random(0))
-            restore_tuner(tuner, sdata["tuner"])
-            stopping = self.stopping_factory()
-            restore_stopping(stopping, sdata["stopping"])
-            states.append(_PartitionState(
-                partition=partition, tuner=tuner, stopping=stopping,
-                evaluations=sdata["evaluations"],
-                stopped_early=sdata["stopped_early"],
-                start_minutes=sdata["start_minutes"],
-                end_minutes=sdata["end_minutes"],
-                started=sdata["started"],
-                free_at=sdata["free_at"]))
-
-        cache = {}
-        for entry in payload["cache"]:
-            evaluation = evaluation_from_json(entry)
-            cache[canonical_key(evaluation.point)] = evaluation
-        self.evaluator.prime_cache(cache.values())
-        restore_evaluator_counters(self.evaluator, payload["evaluator"])
-
-        samples: list[tuple[float, int, Evaluation]] = []
-        for finish, order, key, cached, pruned_payload \
-                in payload["samples"]:
-            if pruned_payload is not None:
-                samples.append((finish, order,
-                                evaluation_from_json(pruned_payload)))
-                continue
-            base = cache.get(key)
-            if base is None:
-                raise DSEError(
-                    f"checkpoint sample references point {key} missing "
-                    f"from its own cache section")
-            samples.append((finish, order, Evaluation(
-                point=dict(base.point), qor=base.qor, result=base.result,
-                minutes=(CACHED_EVALUATION_MINUTES if cached
-                         else base.minutes),
-                cached=cached)))
-
-        self.rng.setstate(rng_state_from_json(payload["rng"]))
-        return _RunState(
-            states=states,
-            pending=deque(states[i] for i in payload["pending"]),
-            running=[states[i] for i in payload["running"]],
-            samples=samples,
-            truncated=payload["truncated"],
-            last_event=payload["last_event"],
-            sequence=payload["sequence"],
-            rounds=payload["rounds"],
-            resumed=True)
-
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
@@ -425,13 +243,16 @@ class S2FAEngine:
         state.end_minutes = at
         rs.running.remove(state)
 
-    def _write_checkpoint(self, rs: _RunState):
+    def _write_checkpoint(self, rs: _RunState) -> None:
         if self.checkpoint_store is None:
-            return None
-        path = self.checkpoint_store.save(self.evaluator.kernel_digest,
-                                          self._snapshot(rs))
+            return
+        digest = self.evaluator.kernel_digest
+        self.checkpoint_store.save(digest, {
+            "kind": CHECKPOINT_KIND,
+            "identity": {"kernel_digest": digest, "seed": self.seed},
+            "rounds": rs.rounds,
+        })
         self.tracer.metrics.incr("dse.checkpoint.writes")
-        return path
 
     def _evaluate_proposals(self, points: list[dict]) -> list[Evaluation]:
         """Evaluate one round's batch, surrogate-pruning the worst misses.
@@ -553,21 +374,18 @@ class S2FAEngine:
                     if rs.pending:
                         self._start_partition(rs, finish)
 
-            # Batch boundary: the event heap is drained and nothing is in
-            # flight — journal the complete state, then honor any stop
-            # request now that the checkpoint covers this round.
-            checkpoint_path = self._write_checkpoint(rs)
+            # Batch boundary: the event heap is drained, nothing is in
+            # flight, and every estimate of the round is in the store.
+            self._write_checkpoint(rs)
             self._chaos.fire("boundary", rs.rounds)
             if self._stop_requested and rs.running:
-                where = (f"; checkpoint at {checkpoint_path} "
-                         f"(resume with --resume)"
-                         if checkpoint_path is not None
-                         else " (checkpointing disabled: progress beyond "
-                              "the persistent cache is lost)")
+                where = ("; rerun with the same --cache-dir to resume"
+                         if self.evaluator.store is not None
+                         else " (no persistent cache: a rerun starts "
+                              "over)")
                 raise ExplorationInterrupted(
                     f"exploration interrupted after {rs.rounds} "
-                    f"batches{where}",
-                    checkpoint_path=checkpoint_path, rounds=rs.rounds)
+                    f"batches{where}", rounds=rs.rounds)
 
     # ------------------------------------------------------------------
     # Finalization
@@ -616,7 +434,6 @@ class S2FAEngine:
         ]
         best_eval = global_best["eval"]
         if self.checkpoint_store is not None:
-            # The run is complete; a later --resume should start fresh.
             self.checkpoint_store.discard(self.evaluator.kernel_digest)
         return DSERun(
             name="s2fa",
@@ -632,7 +449,6 @@ class S2FAEngine:
             evaluator_stats=self.evaluator.stats()
             if hasattr(self.evaluator, "stats") else None,
             surrogate_stats=surrogate_stats,
-            resumed=rs.resumed,
         )
 
     def _revalidate_pruned(self, rs: _RunState,

@@ -17,6 +17,10 @@ Three layers of memoization, consulted in order:
    ``cached=False``, so warm and cold runs produce identical virtual-clock
    timelines (persistence is a real-wall-clock optimization only);
 3. the estimator itself.
+
+The store is what makes an interrupted exploration resumable: a rerun
+over it replays the killed run's trajectory exactly, because nothing
+the engine decides depends on which layer answered a point.
 """
 
 from __future__ import annotations
@@ -132,19 +136,17 @@ class Evaluator:
         return evaluation
 
     def is_known(self, point: dict) -> bool:
-        """Would evaluating this point cost (almost) nothing?
+        """Has this run already evaluated the point?
 
-        True when the point is already in the in-run cache or the
-        persistent store.  Does not touch the hit/miss counters, so
-        callers (the surrogate pruning stage) can ask freely: pruning a
-        point whose answer is already paid for would only lose
-        information.
+        True when the point is in the in-run cache.  The persistent
+        store is deliberately not consulted: what an earlier run left
+        there must not change this run's decisions, or a warm rerun
+        would explore differently from a cold one.  Does not touch the
+        hit/miss counters, so callers (the surrogate pruning stage) can
+        ask freely: pruning a point whose answer is already paid for
+        would only lose information.
         """
-        key = canonical_key(point)
-        if key in self._cache:
-            return True
-        return self.store is not None and self.store.contains(
-            self.kernel_digest, key)
+        return canonical_key(point) in self._cache
 
     def evaluate(self, point: dict) -> Evaluation:
         key = canonical_key(point)
@@ -179,22 +181,6 @@ class Evaluator:
         self.batched_points += len(points)
         self.max_batch = max(self.max_batch, len(points))
         return [self.evaluate(point) for point in points]
-
-    # ------------------------------------------------------------------
-    # Checkpoint support: the in-run cache and the budget counters are
-    # part of the explorer state (a resumed run must see the same
-    # ``cached`` flags and virtual-clock minutes as an uninterrupted one).
-    # ------------------------------------------------------------------
-
-    def cache_snapshot(self) -> list[Evaluation]:
-        """The in-run cache entries, in admission order."""
-        return list(self._cache.values())
-
-    def prime_cache(self, evaluations) -> None:
-        """Pre-load the in-run cache (checkpoint restore)."""
-        for evaluation in evaluations:
-            self._cache.setdefault(canonical_key(evaluation.point),
-                                   evaluation)
 
     def evaluate_config(self, config: DesignConfig) -> Evaluation:
         return self.evaluate(config.to_point())

@@ -45,10 +45,6 @@ class DSERun:
     #: surrogate pruning statistics (model identity, points pruned,
     #: finalize revalidation outcome); ``None`` when no surrogate ran
     surrogate_stats: Optional[dict] = None
-    #: whether this run was restored from a checkpoint.  Deliberately
-    #: excluded from :meth:`to_dict`: a resumed run's report must be
-    #: bit-identical to the uninterrupted run's.
-    resumed: bool = False
 
     @property
     def best_seconds_per_batch(self) -> float:

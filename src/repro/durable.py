@@ -1,9 +1,10 @@
 """The one durable-state substrate under every crash-safe feature.
 
 HLS time is the scarce resource (minutes to an hour per design point),
-so the DSE cache, the DSE checkpoint, the stream sink, the stream
-checkpoint, the dataset files and the serve drain snapshot must all
-survive a kill at any instant.  They share exactly three mechanisms,
+so the DSE cache, the stream sink, the stream checkpoint, the dataset
+files and the serve drain snapshot must all survive a kill at any
+instant (the DSE cache is also how an exploration resumes: a rerun over
+it replays the killed run).  They share exactly three mechanisms,
 and this module is the only place in ``src/repro`` that calls
 ``os.fsync``, ``os.replace``, ``flock`` or ``ftruncate``:
 
@@ -199,10 +200,12 @@ class SnapshotStore:
 # ----------------------------------------------------------------------
 
 #: Fault-injection hook for the chaos harnesses: ``boundary:N``
-#: hard-kills the process right after checkpoint N is flushed, ``mid:N``
-#: hard-kills after batch N is computed but *before* its checkpoint, and
-#: ``stop:N`` requests a graceful stop after batch N (exercising the
-#: SIGINT/SIGTERM path deterministically).
+#: hard-kills the process at the end of batch N (a stream has flushed
+#: checkpoint N; an exploration has merged the batch, whose estimates
+#: are already in its cache), ``mid:N`` hard-kills after batch N is
+#: computed but *before* that point, and ``stop:N`` requests a graceful
+#: stop after batch N (exercising the SIGINT/SIGTERM path
+#: deterministically).
 CHAOS_KILL_ENV = "S2FA_CHAOS_KILL"
 
 

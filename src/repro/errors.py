@@ -102,17 +102,15 @@ class DatasetError(S2FAError):
 class ExplorationInterrupted(DSEError):
     """The exploration stopped early on an operator/scheduler signal.
 
-    Raised at a batch boundary after the in-flight batch finished and the
-    checkpoint was flushed, so the run is *resumable*: ``checkpoint_path``
-    names the checkpoint file (``None`` when checkpointing is disabled)
-    and ``rounds`` counts the completed batches.  The CLI maps this to a
-    distinct exit code so schedulers can tell "preempted but resumable"
-    from "failed".
+    Raised at a batch boundary after the in-flight batch finished, so
+    every estimate so far is in the persistent cache and a rerun over it
+    resumes the run; ``rounds`` counts the completed batches.  The CLI
+    maps this to a distinct exit code so schedulers can tell "preempted
+    but resumable" from "failed".
     """
 
-    def __init__(self, message: str, checkpoint_path=None, rounds: int = 0):
+    def __init__(self, message: str, rounds: int = 0):
         super().__init__(message)
-        self.checkpoint_path = checkpoint_path
         self.rounds = rounds
 
 

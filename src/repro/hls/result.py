@@ -6,6 +6,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 
+def _number(value):
+    """A JSON number exactly as written: ``230`` stays an ``int``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return value
+
+
 @dataclass
 class Resources:
     """Absolute resource usage."""
@@ -118,12 +125,12 @@ class HLSResult:
         return cls(
             feasible=bool(data["feasible"]),
             cycles=int(data["cycles"]),
-            freq_mhz=float(data["freq_mhz"]),
+            freq_mhz=_number(data["freq_mhz"]),
             resources=Resources.from_dict(data["resources"]),
-            utilization={k: float(v)
+            utilization={k: _number(v)
                          for k, v in data["utilization"].items()},
             ii_top=data["ii_top"],
-            synthesis_minutes=float(data["synthesis_minutes"]),
+            synthesis_minutes=_number(data["synthesis_minutes"]),
             compute_cycles=int(data.get("compute_cycles", 0)),
             memory_cycles=int(data.get("memory_cycles", 0)),
             memory_bound=bool(data.get("memory_bound", False)),

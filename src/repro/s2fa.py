@@ -31,7 +31,6 @@ from .compiler.interface import LayoutConfig
 from .config import ExploreConfig, RuntimeConfig, StreamConfig
 from .cost import AnalyticalCostModel, CostModel, SurrogateCostModel
 from .dse.cache import CacheStore
-from .dse.checkpoint import CheckpointStore
 from .dse.engine import S2FAEngine
 from .dse.evaluator import Evaluator
 from .dse.result import DSERun
@@ -64,7 +63,7 @@ def _graceful_shutdown(engine, enabled: bool):
     ``engine`` is anything with a ``request_stop`` method — the DSE
     engine and the streaming context share the same stop contract.
 
-    Installed only while checkpointing is on (the stop is only useful
+    Installed only while progress is durable (the stop is only useful
     when it leaves something to resume) and only on the main thread
     (signal handlers cannot be set elsewhere).  The previous handlers
     are restored on exit, so nested pipelines keep their behavior.
@@ -298,16 +297,17 @@ class S2FASession:
                 device: Optional[Device] = None) -> AcceleratorBuild:
         """Compile + DSE: pick the best design under the session config.
 
-        With ``checkpoint_dir`` set the exploration is crash-safe: the
-        engine journals its state at every batch boundary, SIGINT/SIGTERM
-        turn into a graceful stop raising
-        :class:`~repro.errors.ExplorationInterrupted`, and
-        ``resume=True`` continues a previously interrupted run (or
-        starts fresh if no checkpoint exists).
+        With ``cache_dir`` set the exploration is crash-safe: every
+        estimate is persisted as it is made, SIGINT/SIGTERM turn into a
+        graceful stop at the next batch boundary raising
+        :class:`~repro.errors.ExplorationInterrupted`, and rerunning
+        with the same ``cache_dir`` resumes — the search is
+        deterministic, so the rerun replays to the uninterrupted run's
+        result without re-estimating a point.
 
         ``device`` explores against a different envelope than the
         session's (the multi-device sweep passes each candidate board
-        here); caches and checkpoints are keyed by the device identity,
+        here); cache entries are keyed by the device identity,
         so per-device explorations can share one directory safely.
         """
         cfg = self.explore_config
@@ -320,14 +320,7 @@ class S2FASession:
                 batch_size=batch_size)
             span.set(accel=compiled.accel_id)
             space = build_space(compiled, tracer=self.tracer)
-            # Checkpointing implies a persistent cache (in the checkpoint
-            # directory unless one is named): resuming replays the killed
-            # batch's already-estimated points as store hits, which is
-            # what makes the resumed trajectory duplicate-free.
-            cache_dir = cfg.cache_dir or cfg.checkpoint_dir
-            store = CacheStore(cache_dir) if cache_dir else None
-            checkpoints = (CheckpointStore(cfg.checkpoint_dir)
-                           if cfg.checkpoint_dir else None)
+            store = CacheStore(cfg.cache_dir) if cfg.cache_dir else None
             surrogate = (SurrogateCostModel.load(cfg.surrogate)
                          if cfg.surrogate else None)
             evaluator = Evaluator(
@@ -339,15 +332,11 @@ class S2FASession:
                 time_limit_minutes=cfg.time_limit_minutes,
                 workers=cfg.workers,
                 max_partitions=cfg.max_partitions,
-                checkpoint_store=checkpoints,
                 surrogate=surrogate,
                 prune_fraction=cfg.prune_fraction,
                 tracer=self.tracer)
-            resume = (cfg.resume and checkpoints is not None
-                      and checkpoints.has(evaluator.kernel_digest))
-            with _graceful_shutdown(engine,
-                                    enabled=checkpoints is not None):
-                run = engine.resume() if resume else engine.run()
+            with _graceful_shutdown(engine, enabled=store is not None):
+                run = engine.run()
             if run.best_point is None:
                 raise DSEError(
                     "the DSE found no feasible design point "
@@ -382,7 +371,7 @@ class S2FASession:
 
         The device is a first-class DSE dimension: each candidate board
         gets its own full (device x Merlin config) exploration — cache
-        and checkpoint entries are namespaced by the device's envelope
+        entries are namespaced by the device's envelope
         identity, so the sweeps share one directory without cross-talk.
         ``devices`` is a list of registered names or
         :class:`~repro.hls.device.Device` objects (default: the whole

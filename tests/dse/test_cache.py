@@ -111,10 +111,11 @@ def _evaluation_tuples(evaluations):
 
 
 def _fingerprint(run):
-    """Everything a run reports except the backend's own counters."""
+    """Everything a run reports except the backend's own counters, as
+    JSON text (a dict compare would hide ``230`` vs ``230.0``)."""
     data = run.to_dict()
     del data["evaluator_stats"]
-    return data
+    return json.dumps(data, sort_keys=True)
 
 
 class TestEvaluatorStore:
@@ -200,11 +201,36 @@ class TestCacheStore:
         store.put(digest, key, result.synthesis_minutes, result)
 
         fresh = CacheStore(tmp_path)
-        assert fresh.contains(digest, key)
         minutes, loaded = fresh.get(digest, key)
         assert minutes == result.synthesis_minutes
         assert loaded == result
-        assert loaded.to_dict() == result.to_dict()
+        assert json.dumps(loaded.to_dict()) == json.dumps(result.to_dict())
+
+    def test_numbers_decode_as_written(self, tmp_path, kmeans,
+                                       kmeans_result):
+        _, result = kmeans_result
+        assert type(result.freq_mhz) is int
+        digest = kernel_digest(kmeans.kernel, VU9P)
+        CacheStore(tmp_path).put(digest, "k", 1.0, result)
+        _, loaded = CacheStore(tmp_path).get(digest, "k")
+        assert type(loaded.freq_mhz) is int
+        assert loaded.freq_mhz == result.freq_mhz
+
+    @pytest.mark.parametrize("bad", ["230", None, True])
+    def test_non_number_field_is_corrupt(self, tmp_path, kmeans_result,
+                                         bad):
+        _, result = kmeans_result
+        data = result.to_dict()
+        data["freq_mhz"] = bad
+        with pytest.raises(ValueError, match="expected a number"):
+            HLSResult.from_dict(data)
+        digest = "d" * 24
+        record = {"v": FORMAT_VERSION, "key": "k", "minutes": 1.0,
+                  "result": data}
+        (tmp_path / f"{digest}.jsonl").write_text(json.dumps(record) + "\n")
+        store = CacheStore(tmp_path)
+        assert store.get(digest, "k") is None
+        assert store.corrupt_lines == 1
 
     def test_last_write_wins(self, tmp_path, kmeans, kmeans_result):
         point, result = kmeans_result

@@ -31,7 +31,7 @@ from repro.dse.cache import (
     canonical_key,
     kernel_digest,
 )
-from repro.errors import DSEError
+from repro.errors import DSEError, ExplorationInterrupted
 from repro.hls.estimator import ESTIMATOR_VERSION
 from repro.merlin.config import DesignConfig
 
@@ -192,3 +192,70 @@ class TestCacheIdentity:
         assert math.isfinite(evaluation.qor) or evaluation.qor == float("inf")
         assert store.appends == 0
         assert store.size(evaluator.kernel_digest) == 0
+
+
+def _fingerprint(run):
+    data = run.to_dict()
+    data.pop("evaluator_stats", None)
+    return json.dumps(data, sort_keys=True)
+
+
+class TestWarmStoreDecisions:
+    """What an earlier run left in the persistent store must not change
+    which points this run prunes: a warm rerun, a cold run and a
+    no-store run explore identically.  Replay-resume depends on it."""
+
+    @pytest.fixture(scope="class")
+    def full_space(self, small_space):
+        compiled, _ = small_space
+        return compiled, build_space(compiled)
+
+    def test_is_known_ignores_earlier_runs(self, tmp_path, small_space):
+        compiled, space = small_space
+        point = space.default_point()
+        Evaluator(compiled, store=CacheStore(tmp_path)).evaluate(point)
+
+        warm = Evaluator(compiled, store=CacheStore(tmp_path))
+        assert not warm.is_known(point)
+        warm.evaluate(point)
+        assert warm.store_hits == 1
+        assert warm.is_known(point)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_warm_cold_and_storeless_runs_agree(self, tmp_path,
+                                                full_space, surrogate,
+                                                seed):
+        compiled, space = full_space
+
+        def run(store):
+            return S2FAEngine(Evaluator(compiled, store=store), space,
+                              seed=seed, surrogate=surrogate,
+                              prune_fraction=0.5).run()
+
+        plain = run(None)
+        cold = run(CacheStore(tmp_path))
+        warm = run(CacheStore(tmp_path))
+        assert plain.surrogate_stats["pruned"] > 0
+        assert warm.evaluator_stats["estimates"] == 0
+        assert _fingerprint(cold) == _fingerprint(plain)
+        assert _fingerprint(warm) == _fingerprint(plain)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_replay_after_stop_equals_uninterrupted(
+            self, tmp_path, monkeypatch, full_space, surrogate, seed):
+        compiled, space = full_space
+        engine = dict(seed=seed, surrogate=surrogate, prune_fraction=0.5)
+        baseline = _fingerprint(
+            S2FAEngine(Evaluator(compiled), space, **engine).run())
+        for stop_after in (1, 3):
+            directory = tmp_path / str(stop_after)
+            monkeypatch.setenv("S2FA_CHAOS_KILL", f"stop:{stop_after}")
+            with pytest.raises(ExplorationInterrupted):
+                S2FAEngine(Evaluator(compiled,
+                                     store=CacheStore(directory)),
+                           space, **engine).run()
+            monkeypatch.delenv("S2FA_CHAOS_KILL")
+            rerun = S2FAEngine(
+                Evaluator(compiled, store=CacheStore(directory)),
+                space, **engine).run()
+            assert _fingerprint(rerun) == baseline, stop_after

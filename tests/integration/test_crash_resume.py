@@ -1,11 +1,12 @@
 """Kill/resume chaos harness (subprocess level).
 
-Each scenario SIGKILLs a real ``s2fa explore`` process at a deterministic
-point (``S2FA_CHAOS_KILL``), resumes it with ``--resume``, and asserts
-the three crash-safety guarantees end to end:
+Each scenario SIGKILLs a real ``s2fa explore --cache-dir`` process at a
+deterministic point (``S2FA_CHAOS_KILL``), resumes it by running the
+same command again over the same cache, and asserts the three
+crash-safety guarantees end to end:
 
-1. the resumed run's exported report is byte-identical to an
-   uninterrupted baseline's,
+1. the rerun's exported report is byte-identical to an uninterrupted
+   baseline's,
 2. no design point was estimated twice across the kill (every key
    appears exactly once in the persistent store),
 3. a graceful interrupt exits with the pinned resumable code (75).
@@ -38,15 +39,13 @@ def kernel_file(tmp_path):
     return str(path)
 
 
-def _explore(kernel_file, tmp_path, seed, *, chaos=None, resume=False,
-             checkpoint=True, json_name=None):
+def _explore(kernel_file, tmp_path, seed, *, chaos=None, cache=True,
+             json_name=None):
     """Run ``s2fa explore`` in a subprocess; return (returncode, stderr)."""
     cmd = [sys.executable, "-m", "repro.cli", "explore", kernel_file,
            "--seed", str(seed), "--time-limit", TIME_LIMIT]
-    if checkpoint:
-        cmd += ["--checkpoint-dir", str(tmp_path / "ck")]
-    if resume:
-        cmd += ["--resume"]
+    if cache:
+        cmd += ["--cache-dir", str(tmp_path / "cache")]
     if json_name:
         cmd += ["--json", str(tmp_path / json_name)]
     env = dict(os.environ,
@@ -62,14 +61,15 @@ def _explore(kernel_file, tmp_path, seed, *, chaos=None, resume=False,
 def _report(tmp_path, name):
     data = json.loads((tmp_path / name).read_text())
     # Real-clock evaluator statistics legitimately differ across a kill
-    # (the resumed process re-reads the store); everything scientific
-    # must not.
+    # (the rerun answers from the store); everything scientific must
+    # not.
     data.pop("evaluator_stats", None)
     return json.dumps(data, sort_keys=True)
 
+
 def _store_keys(tmp_path):
     keys = []
-    for path in (tmp_path / "ck").glob("*.jsonl"):
+    for path in (tmp_path / "cache").glob("*.jsonl"):
         for line in path.read_text().splitlines():
             if line:
                 keys.append(json.loads(line)["key"])
@@ -77,17 +77,16 @@ def _store_keys(tmp_path):
 
 
 def _assert_resume_matches_baseline(kernel_file, tmp_path, seed, kills):
-    code, _ = _explore(kernel_file, tmp_path, seed, checkpoint=False,
+    code, _ = _explore(kernel_file, tmp_path, seed, cache=False,
                        json_name="baseline.json")
     assert code == 0
 
     for chaos in kills:
-        code, _ = _explore(kernel_file, tmp_path, seed, chaos=chaos,
-                           resume=True)
+        code, _ = _explore(kernel_file, tmp_path, seed, chaos=chaos)
         assert code == -signal.SIGKILL, \
             f"chaos {chaos} did not SIGKILL the explorer (rc={code})"
 
-    code, _ = _explore(kernel_file, tmp_path, seed, resume=True,
+    code, _ = _explore(kernel_file, tmp_path, seed,
                        json_name="resumed.json")
     assert code == 0
     assert _report(tmp_path, "resumed.json") \
@@ -107,7 +106,7 @@ class TestKillResume:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_kill_mid_batch(self, kernel_file, tmp_path, seed):
         # The process dies after the batch is evaluated (results are in
-        # the persistent cache) but before the merge/checkpoint.
+        # the persistent cache) but before they are merged.
         _assert_resume_matches_baseline(kernel_file, tmp_path, seed,
                                         kills=["mid:3"])
 
@@ -118,8 +117,8 @@ class TestKillResume:
                                                "boundary:3"])
 
     def test_kill_before_first_checkpoint(self, kernel_file, tmp_path):
-        # ``--resume`` with no checkpoint on disk starts fresh — the
-        # idempotent-restart contract for schedulers.
+        # Killed before the first batch boundary: the rerun finds only
+        # the first batch's store records and replays from there.
         _assert_resume_matches_baseline(kernel_file, tmp_path, SEEDS[0],
                                         kills=["mid:1"])
 
@@ -127,16 +126,16 @@ class TestKillResume:
 class TestGracefulInterrupt:
     def test_interrupt_exits_75_then_resumes(self, kernel_file, tmp_path):
         code, _ = _explore(kernel_file, tmp_path, SEEDS[0],
-                           checkpoint=False, json_name="baseline.json")
+                           cache=False, json_name="baseline.json")
         assert code == 0
 
         code, stderr = _explore(kernel_file, tmp_path, SEEDS[0],
                                 chaos="stop:2")
         assert code == 75
         assert "interrupted:" in stderr
-        assert "--resume" in stderr
+        assert "rerun with the same --cache-dir" in stderr
 
-        code, _ = _explore(kernel_file, tmp_path, SEEDS[0], resume=True,
+        code, _ = _explore(kernel_file, tmp_path, SEEDS[0],
                            json_name="resumed.json")
         assert code == 0
         assert _report(tmp_path, "resumed.json") \
@@ -145,13 +144,19 @@ class TestGracefulInterrupt:
     def test_sigterm_flushes_checkpoint_and_exits_75(self, kernel_file,
                                                      tmp_path):
         # A real signal (not the chaos hook): SIGTERM mid-run must finish
-        # the in-flight batch, flush the checkpoint, and exit 75.
+        # the in-flight batch and exit 75 with its estimates in the
+        # cache, and a rerun over that cache must finish the run.
         cmd = [sys.executable, "-m", "repro.cli", "explore", kernel_file,
-               "--seed", str(SEEDS[0]), "--time-limit", "400",
-               "--checkpoint-dir", str(tmp_path / "ck")]
+               "--seed", str(SEEDS[0]), "--time-limit", "400"]
         env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
         env.pop("S2FA_CHAOS_KILL", None)
-        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE,
+        proc = subprocess.run(
+            cmd + ["--json", str(tmp_path / "baseline.json")],
+            capture_output=True, text=True, env=env, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        proc = subprocess.Popen(cmd + cache, stdout=subprocess.PIPE,
                                 stderr=subprocess.PIPE, text=True,
                                 env=env)
         # Wait until the run has demonstrably started (first cache
@@ -159,21 +164,18 @@ class TestGracefulInterrupt:
         import time
         deadline = time.monotonic() + 120
         while time.monotonic() < deadline:
-            if list((tmp_path / "ck").glob("*.jsonl")):
+            if list((tmp_path / "cache").glob("*.jsonl")):
                 break
             time.sleep(0.05)
         proc.send_signal(signal.SIGTERM)
         _, stderr = proc.communicate(timeout=600)
         assert proc.returncode == 75, stderr
         assert "interrupted:" in stderr
-        assert list((tmp_path / "ck").glob("*.ckpt.json")), \
-            "no checkpoint flushed on SIGTERM"
+        assert _store_keys(tmp_path), "no estimate reached the cache"
 
-        # Resume with the *same* configuration (the identity check pins
-        # the time limit) and run to completion.
-        cmd = [sys.executable, "-m", "repro.cli", "explore", kernel_file,
-               "--seed", str(SEEDS[0]), "--time-limit", "400",
-               "--checkpoint-dir", str(tmp_path / "ck"), "--resume"]
-        proc = subprocess.run(cmd, capture_output=True, text=True,
-                              env=env, timeout=600)
+        proc = subprocess.run(
+            cmd + cache + ["--json", str(tmp_path / "resumed.json")],
+            capture_output=True, text=True, env=env, timeout=600)
         assert proc.returncode == 0, proc.stderr
+        assert _report(tmp_path, "resumed.json") \
+            == _report(tmp_path, "baseline.json")

@@ -5,7 +5,7 @@ threads, then delivers SIGTERM mid-traffic and asserts the drain
 contract end to end:
 
 1. the daemon exits with the pinned resumable code (75, shared with the
-   explore checkpoint/resume contract),
+   explore interrupt/rerun contract),
 2. every request admitted before the signal completes normally; queued
    or late requests get a clean, *retryable* ``SHUTTING_DOWN``
    rejection — nothing hangs, nothing is lost,

@@ -95,9 +95,20 @@ class K extends Accelerator[Array[Float], Float] {
 
     def test_compile_error_reported(self, tmp_path, capsys):
         path = tmp_path / "bad.scala"
+        path.write_text("class K extends Accelerator[Int, Int] {\n"
+                        "  val id: String = \"k\"\n"
+                        "  def call(x: Int): Int = unknownCall(x)\n}\n")
+        assert main(["compile", str(path)]) == EXIT_ERROR
+        assert ("error: call to unknown function 'unknownCall' at line 3"
+                in capsys.readouterr().err)
+
+    def test_source_without_class_is_an_unknown_app(self, tmp_path,
+                                                    capsys):
+        # With no ``class`` the text is taken as an app name.
+        path = tmp_path / "bad.scala"
         path.write_text("def f(x: Int): Int = unknownCall(x)")
         assert main(["compile", str(path)]) == EXIT_ERROR
-        assert "error:" in capsys.readouterr().err
+        assert "error: unknown app 'def f(x: Int)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("literal", ["0x", "0xG", "²"])
     def test_malformed_literal_is_a_syntax_error(self, tmp_path, capsys,
@@ -331,7 +342,7 @@ class TestTraceCommands:
 class TestExitCodes:
     """The CLI's exit codes are a contract with schedulers: 0 success,
     1 result mismatch, 2 usage error, 3 pipeline error, 75 interrupted
-    with a resumable checkpoint (EX_TEMPFAIL)."""
+    with durable progress, finished by a rerun (EX_TEMPFAIL)."""
 
     def test_pinned_values(self):
         assert (EXIT_OK, EXIT_USAGE, EXIT_ERROR, EXIT_INTERRUPTED) \
@@ -371,27 +382,38 @@ class TestExitCodes:
 
     def test_resume_without_checkpoint_dir_is_usage_error(
             self, kernel_file, capsys):
-        assert main(["explore", kernel_file, "--resume"]) == EXIT_ERROR
-        assert "checkpoint_dir" in capsys.readouterr().err
+        # An exploration resumes by rerunning over the same --cache-dir,
+        # so explore and dse take neither --resume nor --checkpoint-dir.
+        for verb in (["explore", kernel_file], ["dse", "KMeans"]):
+            for flags in (["--resume"], ["--checkpoint-dir", "ck"]):
+                err = usage_error(capsys, verb + flags)
+                assert f"unrecognized arguments: {' '.join(flags)}" in err
 
     def test_interrupted_is_75_and_resumable(self, kernel_file,
                                              tmp_path, capsys,
                                              monkeypatch):
-        ck = tmp_path / "ck"
+        argv = ["explore", kernel_file, "--seed", "3",
+                "--time-limit", "60"]
+        assert main(argv) == EXIT_OK
+        baseline = capsys.readouterr().out
+
+        cache = ["--cache-dir", str(tmp_path / "cache")]
         monkeypatch.setenv("S2FA_CHAOS_KILL", "stop:1")
-        code = main(["explore", kernel_file, "--seed", "3",
-                     "--time-limit", "60",
-                     "--checkpoint-dir", str(ck)])
+        code = main(argv + cache)
         captured = capsys.readouterr()
         assert code == EXIT_INTERRUPTED
         assert "interrupted:" in captured.err
-        assert "--resume" in captured.err
+        assert "rerun with the same --cache-dir" in captured.err
         monkeypatch.delenv("S2FA_CHAOS_KILL")
-        code = main(["explore", kernel_file, "--seed", "3",
-                     "--time-limit", "60",
-                     "--checkpoint-dir", str(ck), "--resume"])
-        assert code == EXIT_OK
-        assert "resumed" in capsys.readouterr().out
+        assert main(argv + cache) == EXIT_OK
+        rerun = capsys.readouterr().out
+
+        def science(out):
+            return [line for line in out.splitlines()
+                    if line.startswith(("HLS evaluations", "best design",
+                                        "cycles/batch"))]
+
+        assert science(rerun) == science(baseline) != []
 
 
 class TestFuzz:

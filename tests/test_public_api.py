@@ -136,8 +136,8 @@ def test_dataset_all_snapshot():
 def test_explore_config_fields():
     fields = set(repro.ExploreConfig.__dataclass_fields__)
     assert fields == {"seed", "time_limit_minutes", "workers",
-                      "cache_dir", "max_partitions", "checkpoint_dir",
-                      "resume", "surrogate", "prune_fraction", "device"}
+                      "cache_dir", "max_partitions", "surrogate",
+                      "prune_fraction", "device"}
 
 
 def test_dataset_config_fields():
