@@ -76,7 +76,12 @@ class VirtualClock:
 
 @dataclass(frozen=True)
 class OffloadPolicy:
-    """Knobs of the resilient offload path (virtual seconds)."""
+    """Knobs of the resilient offload path (virtual seconds).
+
+    The one definition of the retry, deadline and quarantine constants.
+    No run configuration changes them; a test that needs other values
+    passes its own instance as ``BlazeRuntime(policy=...)``.
+    """
 
     #: Invocation attempts per batch before the board is quarantined.
     max_attempts: int = 3
@@ -130,20 +135,15 @@ class BlazeRuntime:
     """Front door of the accelerator service."""
 
     def __init__(self, context: SparkContext,
-                 manager: Optional[AcceleratorManager] = None,
                  device: Device = VU9P,
                  fault_plan: Optional[FaultPlan] = None,
                  policy: Optional[OffloadPolicy] = None,
                  tracer=NULL_TRACER,
                  engine: Optional[str] = None):
         self.engine = resolve_engine(engine)
-        if manager is None:
-            manager = AcceleratorManager(device, fault_plan=fault_plan,
-                                         engine=self.engine)
-        elif fault_plan is not None:
-            manager.fault_plan = fault_plan
         self.context = context
-        self.manager = manager
+        self.manager = AcceleratorManager(device, fault_plan=fault_plan,
+                                          engine=self.engine)
         self.policy = policy or OffloadPolicy()
         self.metrics = BlazeMetrics()
         self.clock = VirtualClock()
@@ -170,7 +170,6 @@ class BlazeRuntime:
 
     def offload_batch(self, entry: RegisteredAccelerator, tasks: list,
                       n_results: Optional[int] = None, *,
-                      policy: Optional[OffloadPolicy] = None,
                       deadline_at: Optional[float] = None
                       ) -> Optional[list]:
         """Run one batch on ``entry``'s board; ``None`` means "fall back".
@@ -181,13 +180,11 @@ class BlazeRuntime:
         permanent-loss handling.  All time is charged to the runtime's
         virtual clock.
 
-        ``policy`` overrides the runtime policy for this batch only, and
         ``deadline_at`` is an absolute virtual-time budget: each attempt
         deadline is capped to the remaining budget and the retry loop
         gives up (falling back, without quarantining a healthy board)
-        once the budget is spent.  The serve layer uses both to
-        propagate per-request deadlines into the retry/backoff
-        discipline.
+        once the budget is spent.  The serve layer uses it to propagate
+        per-request deadlines into the retry/backoff discipline.
 
         The whole batch runs under the runtime lock, so concurrent
         callers see atomic health transitions and consistent metrics.
@@ -202,8 +199,7 @@ class BlazeRuntime:
                                  tasks=len(tasks)) as span:
             before = self.clock.now
             results = self._offload_attempts(entry, tasks, n_results,
-                                             span, policy or self.policy,
-                                             deadline_at)
+                                             span, deadline_at)
             span.set(vclock_seconds=self.clock.now - before)
             if results is not None:
                 span.set(outcome="accelerated")
@@ -212,9 +208,9 @@ class BlazeRuntime:
 
     def _offload_attempts(self, entry: RegisteredAccelerator,
                           tasks: list, n_results: Optional[int],
-                          span, policy: OffloadPolicy,
-                          deadline_at: Optional[float]) -> Optional[list]:
-        metrics = self.metrics
+                          span, deadline_at: Optional[float]
+                          ) -> Optional[list]:
+        metrics, policy = self.metrics, self.policy
         if entry.board is None:
             metrics.no_hardware_batches += 1
             span.set(outcome="no_hardware")

@@ -60,14 +60,10 @@ class ExploreConfig:
         0, "tuner RNG seed; the whole exploration is deterministic in it")
     time_limit_minutes: float = _flag(
         240.0, "virtual minutes", flag="--time-limit")
-    #: Virtual DSE workers (the paper's eight-core machine).
-    workers: int = 8
     cache_dir: Optional[str] = _flag(
         None, "persistent evaluation cache directory (repeated runs "
               "skip re-estimation; SIGINT/SIGTERM then exit 75, and a "
               "rerun with the same DIR resumes)", metavar="DIR")
-    #: Decision-tree partition budget (Section 4.3.1).
-    max_partitions: int = 8
     surrogate: Optional[str] = _flag(
         None, "learned cost-model artifact (from 's2fa dataset train'); "
               "the engine prunes each proposal batch by its "
@@ -83,11 +79,6 @@ class ExploreConfig:
         if not 0.0 <= self.prune_fraction < 1.0:
             raise DSEError("prune_fraction must be in [0, 1), got "
                            f"{self.prune_fraction}")
-        if self.workers < 1:
-            raise DSEError(f"workers must be >= 1, got {self.workers}")
-        if self.max_partitions < 1:
-            raise DSEError(
-                f"max_partitions must be >= 1, got {self.max_partitions}")
         if self.time_limit_minutes <= 0:
             raise DSEError("time_limit_minutes must be positive, got "
                            f"{self.time_limit_minutes}")
@@ -154,8 +145,9 @@ class RuntimeConfig:
 
     ``fault_plan`` is the textual schedule spec of
     :meth:`repro.fpga.faults.FaultPlan.parse` (e.g.
-    ``"transient=0.2,hang=0.05,lose_after=40"``); the offload knobs
-    mirror :class:`repro.blaze.runtime.OffloadPolicy` field for field.
+    ``"transient=0.2,hang=0.05,lose_after=40"``).  The retry, deadline
+    and quarantine constants of the offload path live in one place,
+    :class:`repro.blaze.runtime.OffloadPolicy`.
     """
 
     partitions: int = _flag(4, "Spark partitions")
@@ -163,16 +155,6 @@ class RuntimeConfig:
         None, "device fault schedule, e.g. 'transient=0.2,hang=0.05,"
               "corrupt=0.1,lose_after=40'", metavar="SPEC")
     fault_seed: int = _flag(0, "seed of the fault schedule")
-    #: Invocation attempts per batch before the board is quarantined.
-    max_attempts: int = 3
-    #: Host deadline per batch, virtual seconds.
-    batch_deadline_seconds: float = 0.05
-    #: Backoff before retry ``i`` is ``base * factor**(i-1)``.
-    backoff_base_seconds: float = 1e-4
-    backoff_factor: float = 2.0
-    #: Quarantine ``q`` lasts ``base * factor**q`` before a probe.
-    quarantine_base_seconds: float = 1e-2
-    quarantine_factor: float = 2.0
     #: Functional execution engine: ``"tac"`` (flattened register-IR
     #: engines) or ``"stack"`` (the original stack/tree walkers, kept
     #: as differential oracles).  ``None`` is the default engine (see
@@ -186,12 +168,6 @@ class RuntimeConfig:
         if self.partitions < 1:
             raise BlazeError(
                 f"partitions must be >= 1, got {self.partitions}")
-        if self.max_attempts < 1:
-            raise BlazeError(
-                f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.batch_deadline_seconds <= 0:
-            raise BlazeError("batch_deadline_seconds must be positive, "
-                             f"got {self.batch_deadline_seconds}")
         # Parse eagerly so a bad spec fails at construction time.
         self.plan()
 
@@ -200,16 +176,11 @@ class RuntimeConfig:
         return dataclasses.replace(self, **changes)
 
     def policy(self):
-        """The :class:`~repro.blaze.runtime.OffloadPolicy` equivalent."""
+        """The :class:`~repro.blaze.runtime.OffloadPolicy` (the default
+        one: no run knob changes it)."""
         from .blaze.runtime import OffloadPolicy
 
-        return OffloadPolicy(
-            max_attempts=self.max_attempts,
-            batch_deadline_seconds=self.batch_deadline_seconds,
-            backoff_base_seconds=self.backoff_base_seconds,
-            backoff_factor=self.backoff_factor,
-            quarantine_base_seconds=self.quarantine_base_seconds,
-            quarantine_factor=self.quarantine_factor)
+        return OffloadPolicy()
 
     def plan(self):
         """The parsed :class:`~repro.fpga.faults.FaultPlan` (or None)."""
@@ -229,7 +200,7 @@ class StreamConfig:
     ``[n * batch_records, (n+1) * batch_records)`` — so every other knob
     here (intervals, lag thresholds, fault schedules in ``runtime``)
     changes only timing and placement, never what the sink records.
-    The offload-path knobs (fault schedule, deadlines, engine) ride
+    The offload-path knobs (partitions, fault schedule, engine) ride
     along in ``runtime``, like :class:`ServeConfig`.
     """
 
@@ -243,8 +214,6 @@ class StreamConfig:
         None, "hard cap on micro-batches (default: until the source is "
               "exhausted)", flag="--batches")
     data_seed: int = _flag(21, "record generator seed")
-    #: Admission depth while keeping up (shrinks to 1 under LAGGING).
-    prefetch_batches: int = 2
     max_lag_intervals: float = _flag(
         2.0, "LAGGING threshold in batch intervals",
         flag="--max-lag", metavar="INTERVALS")
@@ -258,7 +227,7 @@ class StreamConfig:
     resume: bool = _flag(
         False, "resume from the checkpoint in --checkpoint-dir if one "
                "exists")
-    #: Offload-path configuration (fault schedule, policy, engine).
+    #: Offload-path configuration (fault schedule, engine).
     runtime: RuntimeConfig = field(default_factory=RuntimeConfig)
 
     def __post_init__(self) -> None:
@@ -279,10 +248,6 @@ class StreamConfig:
             raise StreamError(
                 "an unbounded source (total_records=None) needs "
                 "max_batches to bound the run")
-        if self.prefetch_batches < 1:
-            raise StreamError(
-                "prefetch_batches must be >= 1, got "
-                f"{self.prefetch_batches}")
         if self.max_lag_intervals <= 0:
             raise StreamError(
                 "max_lag_intervals must be positive, got "
@@ -301,10 +266,10 @@ class StreamConfig:
 class ServeConfig:
     """Knobs of the ``s2fa serve`` multi-tenant daemon.
 
-    The offload-path knobs (deadlines, backoff, quarantine, fault
-    schedule, engine) ride along in ``runtime``; everything else here is
-    the serving surface itself: admission bounds, fair-share weights,
-    the board fleet width, circuit breaking, and drain behaviour.
+    The offload-path knobs (fault schedule, engine) ride along in
+    ``runtime``; everything else here is the serving surface itself:
+    admission bounds, fair-share weights, the board fleet width and
+    its devices, deadlines, and circuit breaking.
     """
 
     queue_depth: int = _flag(
@@ -316,8 +281,6 @@ class ServeConfig:
         dict, "weighted-round-robin weight for a tenant (repeatable; "
               "others get weight 1)",
         flag="--tenant-weight", metavar="TENANT=W")
-    #: Weight of a tenant ``tenant_weights`` does not list.
-    default_weight: int = 1
     replicas: int = _flag(2, "virtual boards per kernel")
     device: str = _flag("xcvu9p", _device_help, metavar="NAME")
     fleet_devices: tuple = _flag(
@@ -335,12 +298,7 @@ class ServeConfig:
     breaker_reset_s: float = _flag(
         0.5, "circuit cooldown in virtual seconds before a half-open "
              "probe", flag="--breaker-reset")
-    #: Virtual time budget for ``explore=True`` requests (DSE minutes).
-    explore_time_limit_minutes: float = 20.0
-    #: Grace period (real seconds) for the in-flight request to finish
-    #: during a drain before the daemon gives up and exits anyway.
-    drain_grace_s: float = 10.0
-    #: Offload-path configuration (fault schedule, policy, engine).
+    #: Offload-path configuration (fault schedule, engine).
     runtime: RuntimeConfig = field(default_factory=RuntimeConfig)
 
     def __post_init__(self) -> None:
@@ -355,9 +313,6 @@ class ServeConfig:
         if self.replicas < 1:
             raise ServeError(
                 f"replicas must be >= 1, got {self.replicas}")
-        if self.default_weight < 1:
-            raise ServeError(
-                f"default_weight must be >= 1, got {self.default_weight}")
         for tenant, weight in self.tenant_weights.items():
             if weight < 1:
                 raise ServeError(
@@ -376,14 +331,6 @@ class ServeConfig:
             raise ServeError(
                 f"breaker_reset_s must be positive, "
                 f"got {self.breaker_reset_s}")
-        if self.explore_time_limit_minutes <= 0:
-            raise ServeError(
-                "explore_time_limit_minutes must be positive, got "
-                f"{self.explore_time_limit_minutes}")
-        if self.drain_grace_s <= 0:
-            raise ServeError(
-                f"drain_grace_s must be positive, "
-                f"got {self.drain_grace_s}")
 
     def replace(self, **changes) -> "ServeConfig":
         """A copy with the given fields changed (re-validated)."""

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .bandit import BanditTuner
+from .engine import CACHED_EVALUATION_MINUTES
 from .evaluator import Evaluator, ExplorationTrace
 from .result import DSERun, PartitionReport
 from .space import DesignSpace, Parameter
@@ -137,7 +138,8 @@ class DATunerEngine:
             def job():
                 name, point = next_point(partition)
                 evaluation = self.evaluator.evaluate(point)
-                duration = 0.05 if evaluation.cached else evaluation.minutes
+                duration = CACHED_EVALUATION_MINUTES \
+                    if evaluation.cached else evaluation.minutes
 
                 def on_done(now: float) -> None:
                     partition.evaluations += 1

@@ -32,7 +32,6 @@ from ..compiler.driver import CompiledKernel
 from ..cost import AnalyticalCostModel, CostModel
 from ..hls.device import Device, VU9P
 from ..hls.result import HLSResult, Resources
-from ..merlin.config import DesignConfig
 from ..obs.span import NULL_TRACER
 from .cache import CacheStore, canonical_key, kernel_digest
 
@@ -181,9 +180,6 @@ class Evaluator:
         self.batched_points += len(points)
         self.max_batch = max(self.max_batch, len(points))
         return [self.evaluate(point) for point in points]
-
-    def evaluate_config(self, config: DesignConfig) -> Evaluation:
-        return self.evaluate(config.to_point())
 
     # ------------------------------------------------------------------
 

@@ -42,10 +42,6 @@ class ExhaustiveResult:
     evaluated: int
     feasible: int
 
-    @property
-    def feasible_fraction(self) -> float:
-        return self.feasible / self.evaluated if self.evaluated else 0.0
-
 
 def exhaustive_search(evaluator: Evaluator, space: DesignSpace,
                       limit: int = 100_000) -> ExhaustiveResult:

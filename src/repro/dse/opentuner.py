@@ -86,6 +86,12 @@ class OpenTunerRuntime:
                 [e.minutes for _, e in evaluations if not e.cached],
                 default=0.5)
             now += duration
+            if now > self.time_limit:
+                # The run ends before this iteration completes; its
+                # work is discarded, exactly like S2FAEngine's loop.
+                trace.record(self.time_limit, tuner.best.qor,
+                             self.evaluator.evaluations)
+                break
             for name, evaluation in evaluations:
                 if not first_seen:
                     first_qor = evaluation.qor
@@ -96,8 +102,7 @@ class OpenTunerRuntime:
                 if self.stopping is not None and self.stopping.observe(
                         evaluation.point, evaluation.qor):
                     stopped = True
-            trace.record(min(now, self.time_limit), tuner.best.qor,
-                         self.evaluator.evaluations)
+            trace.record(now, tuner.best.qor, self.evaluator.evaluations)
 
         return DSERun(
             name="opentuner",

@@ -46,12 +46,6 @@ class DSERun:
     #: finalize revalidation outcome); ``None`` when no surrogate ran
     surrogate_stats: Optional[dict] = None
 
-    @property
-    def best_seconds_per_batch(self) -> float:
-        if self.best_result is None:
-            return float("inf")
-        return self.best_result.seconds_per_batch
-
     def to_dict(self) -> dict:
         """JSON-serializable summary (for plotting/archiving DSE runs)."""
         def finite(value: float):

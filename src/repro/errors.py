@@ -61,10 +61,6 @@ class HLSError(S2FAError):
     """The HLS estimator rejected a design outright (not mere infeasibility)."""
 
 
-class InfeasibleDesignError(HLSError):
-    """A design point exceeds the device envelope or fails routing."""
-
-
 class UnknownDeviceError(HLSError):
     """A device name is not in the :class:`~repro.hls.device.DeviceRegistry`.
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..blaze import make_deserializer, make_serializer
@@ -81,14 +81,6 @@ def bits_equal(a: object, b: object) -> bool:
 
 def outputs_equal(expected: list, actual: list) -> bool:
     return bits_equal(expected, actual)
-
-
-@dataclass
-class _Stage:
-    """Context manager tagging exceptions with their pipeline stage."""
-
-    name: str
-    failures: list = field(default_factory=list)
 
 
 # ----------------------------------------------------------------------

@@ -219,10 +219,6 @@ class LoopInfo:
     is_task_loop: bool = False
 
     @property
-    def is_innermost(self) -> bool:
-        return not self.children
-
-    @property
     def has_carried_dep(self) -> bool:
         return (self.is_reduction or self.carried_array_dep
                 or self.carried_scalar_dep)

@@ -38,9 +38,6 @@ C_TYPE_WIDTHS = {
 }
 
 FLOAT_TYPES = frozenset({"float", "double"})
-INT_TYPES = frozenset(
-    {"char", "unsigned char", "short", "int", "unsigned int", "long"}
-)
 
 
 @dataclass(frozen=True)
@@ -61,10 +58,6 @@ class CType:
     @property
     def is_float(self) -> bool:
         return self.base in FLOAT_TYPES
-
-    @property
-    def is_integer(self) -> bool:
-        return self.base in INT_TYPES
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.base

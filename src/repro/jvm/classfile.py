@@ -88,26 +88,6 @@ class JMethod:
     def key(self) -> tuple[str, str]:
         return (self.name, self.descriptor)
 
-    def instr_at(self, offset: int) -> Instr:
-        """Instruction at a bytecode offset (binary search by offset)."""
-        lo, hi = 0, len(self.code) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            here = self.code[mid].offset
-            if here == offset:
-                return self.code[mid]
-            if here < offset:
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        raise BytecodeError(f"no instruction at offset {offset} in {self.name}")
-
-    def index_of_offset(self, offset: int) -> int:
-        for i, instr in enumerate(self.code):
-            if instr.offset == offset:
-                return i
-        raise BytecodeError(f"no instruction at offset {offset} in {self.name}")
-
 
 @dataclass
 class JClass:
@@ -133,12 +113,6 @@ class JClass:
                 f"ambiguous method {name} in class {self.name}; "
                 f"pass a descriptor")
         return matches[0]
-
-    def field_named(self, name: str) -> JField:
-        for f in self.fields:
-            if f.name == name:
-                return f
-        raise BytecodeError(f"no field {name} in class {self.name}")
 
     def has_method(self, name: str, descriptor: Optional[str] = None) -> bool:
         return any(

@@ -1,8 +1,7 @@
 """Process-wide metrics registry: counters, gauges, and observations.
 
 The registry is deliberately tiny — plain dicts behind one lock.  A
-single pipeline run owns its registry (worker *processes* return
-snapshots that the host merges), but the serve daemon mutates one
+single pipeline run owns its registry, but the serve daemon mutates one
 registry from many threads at once, so every read-modify-write is
 atomic: concurrent ``incr``/``observe`` calls never lose updates.
 Three instrument kinds cover everything the pipeline needs:
@@ -17,7 +16,6 @@ Three instrument kinds cover everything the pipeline needs:
 from __future__ import annotations
 
 import threading
-from typing import Optional
 
 
 class MetricsRegistry:
@@ -86,31 +84,6 @@ class MetricsRegistry:
                                  for k, v in self.observations.items()},
             }
 
-    def merge(self, snapshot: Optional[dict]) -> None:
-        """Fold another registry's :meth:`snapshot` into this one.
-
-        Counters add, gauges overwrite, observations combine their
-        summaries.  Used to absorb worker-process metrics on the host.
-        The whole merge is one atomic section, so a concurrent
-        :meth:`snapshot` sees either none or all of it.
-        """
-        if not snapshot:
-            return
-        with self._lock:
-            for name, value in snapshot.get("counters", {}).items():
-                self.counters[name] = self.counters.get(name, 0) + value
-            for name, value in snapshot.get("gauges", {}).items():
-                self.gauges[name] = value
-            for name, summary in snapshot.get("observations", {}).items():
-                mine = self.observations.get(name)
-                if mine is None:
-                    self.observations[name] = dict(summary)
-                    continue
-                mine["count"] += summary["count"]
-                mine["sum"] += summary["sum"]
-                mine["min"] = min(mine["min"], summary["min"])
-                mine["max"] = max(mine["max"], summary["max"])
-
 
 class NullMetrics(MetricsRegistry):
     """No-op registry handed out by :class:`~repro.obs.span.NullTracer`.
@@ -126,9 +99,6 @@ class NullMetrics(MetricsRegistry):
         pass
 
     def observe(self, name: str, value: float) -> None:
-        pass
-
-    def merge(self, snapshot: Optional[dict]) -> None:
         pass
 
 

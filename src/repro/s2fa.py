@@ -330,8 +330,6 @@ class S2FASession:
             engine = S2FAEngine(
                 evaluator, space, seed=cfg.seed,
                 time_limit_minutes=cfg.time_limit_minutes,
-                workers=cfg.workers,
-                max_partitions=cfg.max_partitions,
                 surrogate=surrogate,
                 prune_fraction=cfg.prune_fraction,
                 tracer=self.tracer)
@@ -478,7 +476,6 @@ class S2FASession:
 
         return BlazeRuntime(sc, device=device or self.device,
                             fault_plan=plan,
-                            policy=self.runtime_config.policy(),
                             tracer=self.tracer,
                             engine=self.runtime_config.engine)
 
@@ -531,7 +528,6 @@ class S2FASession:
             sc = SparkContext(default_parallelism=rcfg.partitions)
             runtime = BlazeRuntime(sc, device=self.device,
                                    fault_plan=rcfg.plan(),
-                                   policy=rcfg.policy(),
                                    tracer=self.tracer,
                                    engine=rcfg.engine)
             runtime.register(compiled, spec.design_for(compiled))

@@ -70,6 +70,9 @@ from .scheduler import FairScheduler
 #: has completed (seeds the backpressure retry_after hint).
 _DEFAULT_SERVICE_SECONDS = 1e-3
 
+#: Virtual DSE minutes an ``explore=True`` compile request may spend.
+EXPLORE_TIME_LIMIT_MINUTES = 20.0
+
 
 @dataclass
 class Fleet:
@@ -108,13 +111,11 @@ class ServeCore:
             SparkContext(default_parallelism=1),
             device=self.device,
             fault_plan=runtime_cfg.plan(),
-            policy=runtime_cfg.policy(),
             tracer=self.tracer,
             engine=runtime_cfg.engine)
         self.scheduler = FairScheduler(
             queue_depth=self.config.queue_depth,
-            tenant_weights=dict(self.config.tenant_weights),
-            default_weight=self.config.default_weight)
+            tenant_weights=dict(self.config.tenant_weights))
         self.cache = DesignCache(metrics=self.metrics)
         self.breaker = CircuitBreaker(
             failure_threshold=self.config.breaker_threshold,
@@ -371,7 +372,7 @@ class ServeCore:
 
         session = S2FASession(
             explore=ExploreConfig(
-                time_limit_minutes=self.config.explore_time_limit_minutes),
+                time_limit_minutes=EXPLORE_TIME_LIMIT_MINUTES),
             device=self.device, tracer=self.tracer)
         build = session.explore(
             request.app, layout_config=layout, pattern=pattern,

@@ -50,6 +50,10 @@ from .request import (
 #: "interrupted after flushing state" contract.
 DRAIN_EXIT_CODE = 75
 
+#: Real seconds a drain waits for the in-flight request to finish
+#: before the daemon gives up on it and exits anyway.
+DRAIN_GRACE_SECONDS = 10.0
+
 
 class _Mailbox:
     """Rendezvous between a handler thread and the executor thread."""
@@ -120,8 +124,7 @@ class ServeDaemon:
             self._deliver(response)
         with self._work:
             self._work.notify_all()
-        grace = self.core.config.drain_grace_s
-        self._drained.wait(timeout=grace)
+        self._drained.wait(timeout=DRAIN_GRACE_SECONDS)
         self._flush_state()
         try:
             os.unlink(self.socket_path)

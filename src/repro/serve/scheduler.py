@@ -7,7 +7,8 @@ so a flood degrades into load shedding, not memory growth and collapse.
 
 Dispatch order is **weighted round-robin** over the tenant queues: the
 scheduler cycles tenants in first-seen order and serves up to ``weight``
-requests from each before moving on.  A hot tenant with a full queue
+requests from each before moving on (a tenant that ``tenant_weights``
+does not list has weight 1).  A hot tenant with a full queue
 therefore gets at most ``weight / sum(weights)`` of the dispatch slots
 while others have work queued — one tenant cannot starve the rest.
 Everything is deterministic: same admission order in, same dispatch
@@ -17,7 +18,7 @@ order out, no randomness and no wall-clock reads.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator, Optional
+from typing import Optional
 
 from ..errors import ServeError
 from .request import ServeRequest
@@ -58,16 +59,11 @@ class FairScheduler:
     """
 
     def __init__(self, *, queue_depth: int = 64,
-                 tenant_weights: Optional[dict[str, int]] = None,
-                 default_weight: int = 1):
+                 tenant_weights: Optional[dict[str, int]] = None):
         if queue_depth < 1:
             raise ServeError(
                 f"queue_depth must be >= 1, got {queue_depth}")
-        if default_weight < 1:
-            raise ServeError(
-                f"default_weight must be >= 1, got {default_weight}")
         self.queue_depth = queue_depth
-        self.default_weight = default_weight
         self._weights = dict(tenant_weights or {})
         #: Tenant queues in first-seen order (the round-robin ring).
         self._queues: dict[str, TenantQueue] = {}
@@ -85,7 +81,7 @@ class FairScheduler:
         """The tenant's queue, created on first sight."""
         queue = self._queues.get(tenant)
         if queue is None:
-            weight = self._weights.get(tenant, self.default_weight)
+            weight = self._weights.get(tenant, 1)
             queue = TenantQueue(tenant, weight, self.queue_depth)
             self._queues[tenant] = queue
         return queue
@@ -159,7 +155,3 @@ class FairScheduler:
     def tenants(self) -> list[str]:
         """Tenants seen so far, in ring (first-seen) order."""
         return list(self._queues)
-
-    def iter_queued(self) -> Iterator[ServeRequest]:
-        for queue in self._queues.values():
-            yield from queue.items

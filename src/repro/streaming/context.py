@@ -26,8 +26,9 @@ Content-time separation
 Backpressure
     When the completion of batch ``n`` slips more than
     ``max_lag_intervals`` intervals past batch ``n+1``'s due time the
-    context emits a typed ``LAGGING`` signal and shrinks admission to
-    one in-flight batch (prefetch depth 1) — bounded lag instead of an
+    context emits a typed ``LAGGING`` signal and stops idling to due
+    times: each next batch is admitted as soon as the last one
+    completes, one batch at a time — bounded lag instead of an
     unbounded queue.  When the stream fully catches up it emits ``OK``
     and records the recovery time.
 """
@@ -57,7 +58,6 @@ class BackpressureSignal:
     state: str              # BACKPRESSURE_OK | BACKPRESSURE_LAGGING
     batch_id: int           # batch whose completion triggered it
     lag_seconds: float      # completion slip past the next due time
-    admitted: int           # prefetch depth after the transition
 
 
 @dataclass
@@ -271,19 +271,15 @@ class StreamContext:
                     lagging_since = clock.now
                     outcome.signals.append(BackpressureSignal(
                         state=BACKPRESSURE_LAGGING, batch_id=n,
-                        lag_seconds=lag, admitted=1))
-                    metrics.gauge("stream.admitted_batches", 1)
+                        lag_seconds=lag))
                 elif bp_state == BACKPRESSURE_LAGGING and lag == 0.0:
                     bp_state = BACKPRESSURE_OK
                     recovery = clock.now - lagging_since
                     outcome.recovery_seconds.append(recovery)
                     outcome.signals.append(BackpressureSignal(
                         state=BACKPRESSURE_OK, batch_id=n,
-                        lag_seconds=0.0,
-                        admitted=cfg.prefetch_batches))
+                        lag_seconds=0.0))
                     metrics.observe("stream.recovery_seconds", recovery)
-                    metrics.gauge("stream.admitted_batches",
-                                  cfg.prefetch_batches)
                 if bp_state == BACKPRESSURE_LAGGING:
                     outcome.lagging_batches += 1
                     metrics.incr("stream.lagging_batches")

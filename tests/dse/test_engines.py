@@ -1,5 +1,6 @@
 """End-to-end DSE engine tests (S2FA engine and OpenTuner baseline)."""
 
+import dataclasses
 import math
 
 import pytest
@@ -146,6 +147,31 @@ class TestOpenTunerRuntime:
         run = OpenTunerRuntime(Evaluator(kmeans), kmeans_space, seed=2,
                                time_limit_minutes=30.0).run()
         assert run.termination_minutes <= 30.0 + 1e-9
+
+    def test_work_past_the_time_limit_is_discarded(self, kmeans,
+                                                   kmeans_space):
+        """An iteration that ends after the limit counts for nothing,
+        as in S2FAEngine: every batch here takes 10 minutes and is
+        better than the last, so only the first two of three count."""
+        real = Evaluator(kmeans)
+
+        class TenMinuteEvaluator:
+            evaluations = 0
+
+            def evaluate_batch(self, points):
+                self.evaluations += len(points)
+                return [dataclasses.replace(
+                    e, minutes=10.0, cached=False,
+                    qor=1e6 - self.evaluations)
+                    for e in real.evaluate_batch(points)]
+
+        run = OpenTunerRuntime(TenMinuteEvaluator(), kmeans_space, seed=2,
+                               time_limit_minutes=25.0).run()
+        assert run.evaluations == 24
+        assert run.best_qor == 1e6 - 16
+        assert run.termination_minutes == 25.0
+        assert [(p.minutes, p.best_qor) for p in run.trace.points] \
+            == [(10.0, 1e6 - 8), (20.0, 1e6 - 16), (25.0, 1e6 - 16)]
 
 
 class TestBestDesignQuality:

@@ -104,19 +104,6 @@ class TestNullTracer:
 
 
 class TestMetricsRegistry:
-    def test_merge(self):
-        a = MetricsRegistry()
-        a.incr("n", 2)
-        a.gauge("g", 1.0)
-        a.observe("o", 5.0)
-        b = MetricsRegistry()
-        b.incr("n", 3)
-        b.observe("o", 7.0)
-        a.merge(b.snapshot())
-        snap = a.snapshot()
-        assert snap["counters"]["n"] == 5
-        assert snap["observations"]["o"]["count"] == 2
-
     def test_counter_ratio(self):
         registry = MetricsRegistry()
         assert registry.counter_ratio("hits", "probes") == 0.0

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.blaze.runtime import OffloadPolicy
 from repro.config import RuntimeConfig, ServeConfig
 from repro.s2fa import S2FASession
 from repro.serve import ServeCore, ServeRequest
@@ -204,10 +205,10 @@ class TestDegradation:
     def test_circuit_opens_after_consecutive_failures(self):
         core = ServeCore(ServeConfig(
             replicas=2, breaker_threshold=2, breaker_reset_s=1e9,
-            runtime=RuntimeConfig(
-                fault_plan="transient=1.0", fault_seed=0,
-                # Quarantined boards stay out for the whole test.
-                quarantine_base_seconds=1e9)))
+            runtime=RuntimeConfig(fault_plan="transient=1.0",
+                                  fault_seed=0)))
+        # Quarantined boards stay out for the whole test.
+        core.runtime.policy = OffloadPolicy(quarantine_base_seconds=1e9)
         responses = [_serve_one(core, _offload(f"o{i}", n_tasks=2))
                      for i in range(6)]
         assert all(r.ok and r.degraded for r in responses)
@@ -242,8 +243,7 @@ class TestDrain:
 
 class TestExplore:
     def test_explored_design_is_cached_separately(self):
-        core = ServeCore(ServeConfig(replicas=1,
-                                     explore_time_limit_minutes=45.0))
+        core = ServeCore(ServeConfig(replicas=1))
         manual = _serve_one(core, ServeRequest(
             request_id="m", op=OP_COMPILE, app="KMeans"))
         explored = _serve_one(core, ServeRequest(

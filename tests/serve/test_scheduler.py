@@ -45,8 +45,6 @@ class TestAdmission:
         with pytest.raises(ServeError):
             FairScheduler(queue_depth=0)
         with pytest.raises(ServeError):
-            FairScheduler(queue_depth=4, default_weight=0)
-        with pytest.raises(ServeError):
             TenantQueue("t", weight=0, max_depth=4)
 
 

@@ -58,7 +58,6 @@ class TestConfigValidation:
         {"interval_seconds": 0.0},
         {"total_records": -1},
         {"max_batches": 0},
-        {"prefetch_batches": 0},
     ])
     def test_bad_knobs_rejected(self, kwargs):
         with pytest.raises(StreamError):
@@ -133,8 +132,6 @@ class TestBackpressure:
         lagging, ok = outcome.signals
         assert lagging.batch_id == 0
         assert lagging.lag_seconds > 0.1
-        assert lagging.admitted == 1
-        assert ok.admitted == cfg.prefetch_batches
         assert outcome.lagging_batches > 0
         assert len(outcome.recovery_seconds) == 1
         assert outcome.recovery_seconds[0] > 0

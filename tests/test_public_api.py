@@ -135,9 +135,8 @@ def test_dataset_all_snapshot():
 
 def test_explore_config_fields():
     fields = set(repro.ExploreConfig.__dataclass_fields__)
-    assert fields == {"seed", "time_limit_minutes", "workers",
-                      "cache_dir", "max_partitions", "surrogate",
-                      "prune_fraction", "device"}
+    assert fields == {"seed", "time_limit_minutes", "cache_dir",
+                      "surrogate", "prune_fraction", "device"}
 
 
 def test_dataset_config_fields():
@@ -161,14 +160,10 @@ def test_stream_config_fields():
     fields = set(repro.StreamConfig.__dataclass_fields__)
     assert fields == {"batch_records", "interval_seconds",
                       "total_records", "max_batches", "data_seed",
-                      "prefetch_batches", "max_lag_intervals", "sink",
-                      "checkpoint_dir", "resume", "runtime"}
+                      "max_lag_intervals", "sink", "checkpoint_dir",
+                      "resume", "runtime"}
 
 
 def test_runtime_config_fields():
     fields = set(repro.RuntimeConfig.__dataclass_fields__)
-    assert fields == {"partitions", "fault_plan", "fault_seed",
-                      "max_attempts", "batch_deadline_seconds",
-                      "backoff_base_seconds", "backoff_factor",
-                      "quarantine_base_seconds", "quarantine_factor",
-                      "engine"}
+    assert fields == {"partitions", "fault_plan", "fault_seed", "engine"}

@@ -132,8 +132,8 @@ class TestRun:
 
 class TestConfigs:
     def test_explore_config_validates(self):
-        with pytest.raises(DSEError, match="workers"):
-            ExploreConfig(workers=0)
+        with pytest.raises(DSEError, match="prune_fraction"):
+            ExploreConfig(prune_fraction=1.0)
         with pytest.raises(DSEError, match="time_limit"):
             ExploreConfig(time_limit_minutes=0)
 
@@ -148,17 +148,15 @@ class TestConfigs:
             ExploreConfig().seed = 5
 
     def test_replace_revalidates(self):
-        cfg = ExploreConfig().replace(workers=4)
-        assert cfg.workers == 4
+        cfg = ExploreConfig().replace(time_limit_minutes=30.0)
+        assert cfg.time_limit_minutes == 30.0
         with pytest.raises(DSEError):
-            cfg.replace(workers=-1)
+            cfg.replace(time_limit_minutes=-1.0)
 
     def test_runtime_policy_mirror(self):
-        cfg = RuntimeConfig(max_attempts=5,
-                            batch_deadline_seconds=0.25)
-        policy = cfg.policy()
-        assert policy.max_attempts == 5
-        assert policy.batch_deadline_seconds == 0.25
+        from repro.blaze.runtime import OffloadPolicy
+
+        assert RuntimeConfig(partitions=2).policy() == OffloadPolicy()
 
 
 class TestTracing:
